@@ -27,6 +27,9 @@ PLUTO_QUICK=1 cargo test -q --workspace
 echo "==> Timing-backend differential (tests/timing_backend.rs, analytic == banked bit-for-bit)"
 PLUTO_QUICK=1 cargo test -q --test timing_backend
 
+echo "==> Plan-replay and fused-path differential (tests/plan_replay.rs + tests/partition_fused.rs, plans-on == plans-off and fused == serial lanes)"
+PLUTO_QUICK=1 cargo test -q --test plan_replay --test partition_fused
+
 echo "==> Session API quickstart (examples/session.rs)"
 cargo run --release --quiet --example session
 
@@ -36,7 +39,7 @@ cargo run --release --quiet --example cluster
 echo "==> 4-worker cluster smoke (fig07 --quick --workers 4)"
 cargo run --release --quiet -p pluto-bench --bin fig07_speedup -- --quick --workers 4
 
-echo "==> Query-engine throughput guard (benches/query.rs, word-parallel >= 2x scalar packing, warm-plan replay >= 2x issuing)"
+echo "==> Query-engine throughput guard (benches/query.rs, word-parallel >= 2x scalar packing, warm-plan production store >= 2x issuing)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench query
 
 echo "==> Partitioned-LUT guard (benches/partition.rs, fused §5.6 path — 4-seg query < 2x single, cached load < query)"

@@ -11,12 +11,11 @@
 //!   query still issues 4× the commands (§5.6 is authoritative for
 //!   cost), but the fused data path does its data work in one pass —
 //!   the wall-clock ratio gates the simulator's constant factor. Both
-//!   sides run with compiled plans *disabled* (the issuing path the
-//!   ratio has always measured): a warm-plan replay collapses the
-//!   single query to a tape apply while the partitioned query keeps
-//!   per-lane replay bookkeeping, so the ratio would gate the plan
-//!   cache, not the fusion — the plan cache has its own ≥ 2× guard in
-//!   `benches/query.rs` and a hit-counter guard in `benches/serve.rs`.
+//!   sides run the issuing path (plans disabled on the partition; the
+//!   single query through [`QueryExecutor`], which never replays): with
+//!   warm plans the ratio would gate the plan cache, not the fusion —
+//!   the plan cache has its own ≥ 2× guard in `benches/query.rs` and a
+//!   hit-counter guard in `benches/serve.rs`.
 //! * `query_wide` — the high-segment-count regime: the Gamma12 LUT
 //!   (4096 entries, 8 segments) and the full 8-bit multiplier table
 //!   (65536 entries, 128 segments), the shapes §5.6 warns about.
@@ -26,8 +25,8 @@
 //!   against `pack_segments_uncached`, the per-element packing work a
 //!   cold cache performs.
 //! * `routing` — `PlutoMachine::apply` over the same inputs with a
-//!   512-entry (single) and a 2048-entry (partitioned) LUT: the
-//!   transparent-routing overhead callers actually see.
+//!   512-entry (one segment) and a 2048-entry (four segments) LUT: the
+//!   per-call cost callers actually see.
 
 use pluto_core::lut::{catalog, pack_slots, slots_per_row};
 use pluto_core::partition::PartitionedLut;
@@ -104,7 +103,6 @@ fn bench_query(c: &mut Criterion) {
         group.bench_function(&format!("single/{design}"), |b| {
             b.iter(|| {
                 let mut ex = QueryExecutor::new(&mut e, design);
-                ex.set_use_plans(false);
                 ex.execute_with(
                     &mut store,
                     placement,

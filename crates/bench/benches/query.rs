@@ -10,11 +10,12 @@
 //!   paper-sized 8 KiB row.
 //! * `query` — the end-to-end LUT query on the measurement geometry (one
 //!   full row of 8-bit lookups through a 256-entry LUT, all three
-//!   designs), three ways: `word` (the issuing word-parallel path, plans
-//!   disabled — the cold cost every first-seen plan key pays), `scalar`
-//!   (the retained scalar reference), and `warm_plan` (the compiled-plan
-//!   cache hot: the query applies a memoized cost tape instead of
-//!   re-simulating every command, `DESIGN.md` §10).
+//!   designs), three ways: `word` (the word-parallel [`QueryExecutor`],
+//!   which always issues — the cold cost every first-seen plan key
+//!   pays), `scalar` (the retained scalar reference), and `warm_plan`
+//!   (the production store, a one-segment [`PartitionedLut`], with the
+//!   compiled-plan cache hot: its lane applies a memoized cost tape
+//!   instead of re-simulating every command, `DESIGN.md` §10).
 //! * `store` — `LutStore::load` with the packed-row cache warm (the
 //!   pooled-cluster steady state) vs `pack_rows_uncached`, the
 //!   per-element packing work a cache miss performs.
@@ -29,6 +30,7 @@
 //! faster than the issuing path it memoizes.
 
 use pluto_core::lut::{catalog, pack_slots, pack_slots_scalar, unpack_slots, unpack_slots_scalar};
+use pluto_core::partition::PartitionedLut;
 use pluto_core::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use pluto_core::store::LutStore;
 use pluto_core::DesignKind;
@@ -110,10 +112,9 @@ fn bench_query(c: &mut Criterion) {
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("word/{design}"), |b| {
             b.iter(|| {
-                // Plans off: this is the issuing path — the cold cost a
-                // first-seen plan key pays, and the differential oracle.
+                // The issuing path — the cold cost a first-seen plan key
+                // pays, and the differential oracle.
                 let mut ex = QueryExecutor::new(&mut e, design);
-                ex.set_use_plans(false);
                 ex.execute_with(
                     &mut store,
                     placement,
@@ -138,34 +139,28 @@ fn bench_query(c: &mut Criterion) {
             })
         });
         let mut e = query_engine();
-        let (mut store, placement) = query_setup(&mut e);
+        let lut = catalog::binarize(128).unwrap();
+        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
         let mut scratch = QueryScratch::new();
-        // One unmeasured query records the plan; the measured loop then
-        // runs the warm steady state (tape replay + data gather only).
-        {
-            let mut ex = QueryExecutor::new(&mut e, design);
-            ex.execute_with(
-                &mut store,
-                placement,
+        let mut query = |e: &mut Engine, scratch: &mut QueryScratch| {
+            part.query_with(
+                e,
+                design,
+                SubarrayId(0),
+                SubarrayId(1),
                 &inputs,
                 RowId(0),
                 RowId(1),
-                &mut scratch,
+                scratch,
             )
             .unwrap();
-        }
+        };
+        // One unmeasured query records the plan; the measured loop then
+        // runs the warm steady state (tape replay + data gather only).
+        query(&mut e, &mut scratch);
         group.bench_function(&format!("warm_plan/{design}"), |b| {
             b.iter(|| {
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
+                query(&mut e, &mut scratch);
                 scratch.outputs().len()
             })
         });

@@ -20,7 +20,7 @@ use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::isa::{Instruction, Program, RowReg, ShiftDir, SubarrayReg};
 use crate::lut::{pack_slots, slots_per_row, unpack_slots, Lut};
-use crate::partition::PlutoStore;
+use crate::partition::PartitionedLut;
 use crate::query::QueryScratch;
 use pluto_dram::{BankId, DramConfig, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId};
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ pub struct Controller {
     design: DesignKind,
     lut_registry: HashMap<String, Lut>,
     row_regs: HashMap<RowReg, RowBinding>,
-    sa_regs: HashMap<SubarrayReg, PlutoStore>,
+    sa_regs: HashMap<SubarrayReg, PartitionedLut>,
     bank: BankId,
     data_subarray: SubarrayId,
     compute: ComputeRows,
@@ -337,11 +337,10 @@ impl Controller {
                 ),
             });
         }
-        // Each allocation claims (pLUTo, master) subarray pairs — one
-        // pair for a LUT that fits a subarray, one pair per §5.6 segment
-        // for a LUT that exceeds `rows_per_subarray` (masters stay
-        // adjacent for 1-hop GSA reloads either way).
-        let store = PlutoStore::load(
+        // Each allocation claims one (pLUTo, master) subarray pair per
+        // §5.6 segment — one pair for a LUT that fits a subarray (masters
+        // stay adjacent for 1-hop GSA reloads either way).
+        let store = PartitionedLut::load(
             &mut self.engine,
             lut,
             self.bank,
@@ -392,14 +391,6 @@ impl Controller {
                          the compiler must align all rows to one slot width",
                         self.slot_bits
                     ),
-                });
-            }
-            // §6.1 requires a power-of-two `lut_size` for a single-sweep
-            // LUT; a partitioned LUT may have any logical length (each
-            // per-subarray segment is padded to a power of two, §5.6).
-            if !lut_size.is_power_of_two() && !store.is_partitioned() {
-                return Err(PlutoError::InvalidProgram {
-                    reason: format!("lut_size {lut_size} must be a power of two"),
                 });
             }
             Ok(())

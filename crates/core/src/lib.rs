@@ -21,12 +21,12 @@
 //!   (`api_pluto_add`, `api_pluto_mul`, arbitrary maps) over a device
 //!   facade.
 //! * [`area`] — the Table 5 area model.
-//! * [`partition`] — §5.6 partitioned queries for LUTs larger than one
-//!   subarray (same latency, segment-count × energy), plus the unified
-//!   [`PlutoStore`] the machine/controller route every LUT through.
+//! * [`partition`] — the store every LUT lives in: §5.6 partitioned
+//!   queries across subarrays (same latency, segment-count × energy),
+//!   where a LUT that fits one subarray is the one-segment case.
 //! * [`plan`] — compiled query plans (`DESIGN.md` §10): a process-wide
-//!   cache of recorded command-stream cost tapes, so warm queries apply a
-//!   memoized delta instead of re-simulating every command.
+//!   cache of recorded per-lane cost tapes, so warm segment lanes apply
+//!   a memoized delta instead of re-simulating every command.
 //! * [`salp`] — subarray-level parallelism scaling, tFAW sensitivity.
 //! * [`loading`] — the §8.5 LUT-loading overhead model (Fig. 11).
 //! * [`session`] — the unified execution API (`DESIGN.md` §5): explicit
@@ -84,7 +84,7 @@ pub use design::{DesignKind, DesignModel};
 pub use error::PlutoError;
 pub use library::{MapResult, PlutoMachine};
 pub use lut::Lut;
-pub use partition::{PartitionedCost, PartitionedLut, PlutoStore};
+pub use partition::{PartitionedCost, PartitionedLut};
 pub use plan::PlanStats;
 pub use query::{QueryCost, QueryExecutor, QueryPlacement, QueryScratch};
 pub use serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::error::PlutoError;
     pub use crate::library::{MapResult, PlutoMachine};
     pub use crate::lut::{catalog, Lut};
-    pub use crate::partition::{PartitionedCost, PartitionedLut, PlutoStore};
+    pub use crate::partition::{PartitionedCost, PartitionedLut};
     pub use crate::query::{QueryCost, QueryExecutor, QueryPlacement};
     pub use crate::serve::{QueryReply, QuerySpec, ServeConfig, Server, Ticket};
     pub use crate::session::{CostReport, ExecConfig, Session, SessionBuilder, Workload};

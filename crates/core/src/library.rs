@@ -12,7 +12,7 @@ use crate::controller::Controller;
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{catalog, slots_per_row, Lut};
-use crate::partition::PlutoStore;
+use crate::partition::PartitionedLut;
 use crate::query::QueryScratch;
 use pluto_dram::{
     BankId, CommandStats, DramConfig, Engine, PicoJoules, Picos, RowId, SubarrayId, TimingBackend,
@@ -52,7 +52,7 @@ pub struct MapResult {
 ///   graph and run it through the full Compiler → ISA → Controller stack —
 ///   exactly the paper's §6 flow, used by the system-integration tests.
 /// * [`PlutoMachine::apply`] / [`PlutoMachine::apply2`] drive a persistent
-///   engine directly through the query executor — the fast path the
+///   engine directly through [`PartitionedLut`] stores — the fast path the
 ///   workload suite uses for operation streams of thousands of queries
 ///   (LUT stores persist across calls, so GSA's per-query reload semantics
 ///   are preserved end to end).
@@ -63,7 +63,7 @@ pub struct PlutoMachine {
     backend: TimingBackend,
     totals: AggregateCost,
     engine: Engine,
-    stores: HashMap<String, PlutoStore>,
+    stores: HashMap<String, PartitionedLut>,
     /// Query-path scratch buffers, reused across every `apply` chunk so
     /// operation streams stop reallocating per query. Pure buffers — no
     /// state survives a query, so reuse cannot perturb results.
@@ -224,12 +224,10 @@ impl PlutoMachine {
         })
     }
 
-    /// Returns (creating on first use) the persistent [`PlutoStore`] for
-    /// a LUT on the fast path. Stores claim subarray pairs (pLUTo +
-    /// master) starting at subarray 1 — one pair for a LUT that fits a
-    /// subarray, one pair per §5.6 segment for a LUT that exceeds
-    /// `rows_per_subarray` (which is routed through the partitioned data
-    /// path transparently).
+    /// Returns (creating on first use) the persistent [`PartitionedLut`]
+    /// for a LUT on the fast path. Stores claim one (pLUTo, master)
+    /// subarray pair per §5.6 segment, starting at subarray 1 — one pair
+    /// for a LUT that fits a subarray.
     ///
     /// Cache identity is the *full LUT* — name and shape pick the key,
     /// but a hit is only served after the stored table compares equal
@@ -250,7 +248,7 @@ impl PlutoMachine {
                 None => break,
             }
         }
-        let store = PlutoStore::load(
+        let store = PartitionedLut::load(
             &mut self.engine,
             lut.clone(),
             self.bank,
@@ -288,9 +286,9 @@ impl PlutoMachine {
     /// Chunks the input across as many queries as needed; the LUT store
     /// persists across calls (GSA reload costs recur per query, §5.2.1).
     ///
-    /// LUTs larger than one subarray are routed through the §5.6
-    /// partitioned data path transparently ([`crate::partition`]): the
-    /// same call serves an 8-bit gamma table and a 4096-entry direct
+    /// Every LUT runs through the §5.6 partitioned data path
+    /// ([`crate::partition`]), one segment per subarray: the same call
+    /// serves an 8-bit gamma table (one segment) and a 4096-entry direct
     /// table, with §5.6 max-latency / summed-energy cost semantics folded
     /// into the reported call cost.
     ///

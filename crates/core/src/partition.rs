@@ -25,7 +25,8 @@
 //!   ([`crate::store::LutStore`]'s sliced loader). Tail segments whose
 //!   length is not a power of two are padded with masked-out zero
 //!   elements (inputs are validated against the *parent* length, so the
-//!   pad rows can never match).
+//!   pad rows can never match). A table that is exactly one power-of-two
+//!   sweep is its own single segment, with no element copy.
 //! * **Data path — fused single pass.** Commands and data are split:
 //!   each segment's *command stream* is still issued in full (that is
 //!   what §5.6 charges), but the *data work* is one gather over the
@@ -47,17 +48,19 @@
 //!   ([`PartitionedLut::query_serial_reference`], locked down by
 //!   `tests/partition_fused.rs`).
 //!
-//! [`PlutoStore`] wraps the single-subarray and partitioned stores behind
-//! one query interface, which is how [`crate::library::PlutoMachine`] and
-//! [`crate::controller::Controller`] (and therefore every `Session` and
-//! `Cluster` worker) transparently route oversized LUTs.
+//! A LUT that fits one subarray is the one-segment case of the same
+//! query (§5.6: latency is the slowest lane's, energy the sum over
+//! lanes), so every LUT is stored and queried as a [`PartitionedLut`]:
+//! [`crate::library::PlutoMachine`] and [`crate::controller::Controller`]
+//! (and therefore every `Session` and `Cluster` worker) hold one store
+//! type and run one query path, with plan replay in one lane loop.
 
 use std::sync::Arc;
 
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, unpack_slots_into, Lut};
-use crate::plan::{self, PlanKey, PlanShape};
+use crate::plan::{self, PlanKey};
 use crate::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use crate::store::LutStore;
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind};
@@ -74,16 +77,8 @@ pub(crate) fn segment_layout(len: usize, rows_per_subarray: usize) -> (usize, us
     (segment_rows, len.div_ceil(segment_rows))
 }
 
-/// How the query's input vector arrives (the one routing layer behind
-/// [`PlutoStore::query_with`] / [`PlutoStore::query_resident_with`]).
-enum QueryInput<'a> {
-    /// Caller-supplied slot values, packed and poked into the source row.
-    Slots(&'a [u64]),
-    /// This many slots already resident in the source row.
-    Resident(usize),
-}
-
-/// A LUT partitioned across several pLUTo-enabled subarrays.
+/// A LUT stored across one or more pLUTo-enabled subarrays, one segment
+/// per subarray.
 #[derive(Debug)]
 pub struct PartitionedLut {
     lut: Lut,
@@ -94,7 +89,8 @@ pub struct PartitionedLut {
     use_plans: bool,
     /// Scratch: per-segment rebased input slots (serial reference only).
     local: Vec<u64>,
-    /// Scratch: merged output slots across segments.
+    /// Scratch: merged output slots across segments (serial reference
+    /// only; the fused path gathers into the caller's scratch).
     merged: Vec<u64>,
     /// Scratch: resident-input slots (controller path).
     resident: Vec<u64>,
@@ -116,10 +112,12 @@ pub struct PartitionedCost {
 
 impl PartitionedLut {
     /// Loads `lut` across as many subarrays as needed, starting at
-    /// `first_subarray` and claiming pairs (segment, master) like the
-    /// single-subarray store. Any LUT length ≥ 2 is accepted — including
-    /// truncated tables ([`Lut::from_fn_len`]) — because the tail segment
-    /// is padded to the next power of two with masked-out elements.
+    /// `first_subarray` and claiming one (pLUTo, master) pair per segment.
+    /// Any LUT length ≥ 2 is accepted — including truncated tables
+    /// ([`Lut::from_fn_len`]) — because the tail segment is padded to the
+    /// next power of two with masked-out elements (§6.1 forbids a
+    /// non-power-of-two sweep, so a truncated table that fits one
+    /// subarray is one padded segment).
     ///
     /// All segments pack in **one pass**: the parent's packed rows come
     /// from the process-wide cache once, each segment slices its row range
@@ -147,18 +145,24 @@ impl PartitionedLut {
         for k in 0..count {
             let base = k * segment_rows;
             let end = (base + segment_rows).min(lut.len());
-            let mut elements = lut.elements()[base..end].to_vec();
-            // Pad the (tail) segment to a power of two with masked-out
-            // elements: inputs are validated against the parent length,
-            // so a pad row can never be the matching row of any query.
-            elements.resize((end - base).next_power_of_two(), 0);
-            let seg = Lut::from_table(
-                format!("{}@seg{k}", lut.name()),
-                elements.len().trailing_zeros(),
-                lut.output_bits(),
-                elements,
-            )?
-            .with_min_slot_bits(slot_floor);
+            let seg = if lut.len() == segment_rows {
+                // Exactly one power-of-two sweep: the table is its own
+                // segment.
+                lut.clone()
+            } else {
+                let mut elements = lut.elements()[base..end].to_vec();
+                // Pad the (tail) segment to a power of two with masked-out
+                // elements: inputs are validated against the parent length,
+                // so a pad row can never be the matching row of any query.
+                elements.resize((end - base).next_power_of_two(), 0);
+                Lut::from_table(
+                    format!("{}@seg{k}", lut.name()),
+                    elements.len().trailing_zeros(),
+                    lut.output_bits(),
+                    elements,
+                )?
+                .with_min_slot_bits(slot_floor)
+            };
             debug_assert_eq!(
                 seg.slot_bits(),
                 lut.slot_bits(),
@@ -222,9 +226,15 @@ impl PartitionedLut {
         self.segments[0].bank()
     }
 
+    /// Subarrays this store occupies (one (pLUTo, master) pair per
+    /// segment) — what an allocator must advance its cursor by.
+    pub fn subarrays_claimed(&self) -> u16 {
+        2 * self.segments.len() as u16
+    }
+
     /// Enables or disables the compiled-plan cache for serially issued
     /// segment lanes. With plans off every lane runs the full issuing
-    /// stream — the differential oracle for lane-shaped plans.
+    /// stream — the differential oracle for plan replay.
     pub fn set_use_plans(&mut self, on: bool) {
         self.use_plans = on;
     }
@@ -287,8 +297,8 @@ impl PartitionedLut {
         )
     }
 
-    /// Partitioned query whose input vector is already resident in
-    /// `src_row` of `source` (the controller's `pluto_op` path):
+    /// Query whose input vector is already resident in `src_row` of
+    /// `source` (the controller's `pluto_op` path):
     /// `num_slots` slots at the parent LUT's slot width are read back as
     /// global indices, queried, and the source row is left holding the
     /// same global index vector it started with.
@@ -368,10 +378,12 @@ impl PartitionedLut {
 
         // The fused single pass: data work is one gather over the parent
         // table (plus the two packs below), regardless of segment count.
+        // It lands straight in the caller's scratch, so a resident store
+        // keeps no output buffer of its own between queries.
         let elements = self.lut.elements();
-        self.merged.clear();
-        self.merged
-            .extend(inputs.iter().map(|&x| elements[x as usize]));
+        let merged = scratch.out_mut();
+        merged.clear();
+        merged.extend(inputs.iter().map(|&x| elements[x as usize]));
 
         // Real §5.6 hardware broadcasts the *global* index vector to every
         // segment; poke it once (zero-cost backdoor — the per-lane
@@ -394,16 +406,14 @@ impl PartitionedLut {
         // copy-out only drives the slots its segment matched; the merged
         // vector is what the destination row holds when the last lane's
         // RBM lands).
-        pack_slots_into(&self.merged, slot_bits, row_bytes, &mut self.row)?;
+        pack_slots_into(merged, slot_bits, row_bytes, &mut self.row)?;
         self.issue_lanes(engine, design, source, dest, src_loc, dst_row)?;
 
-        let cost = PartitionedCost {
+        Ok(PartitionedCost {
             segments: self.segments.len(),
             latency: engine.elapsed() - clock0,
             energy: engine.command_energy() - energy0,
-        };
-        std::mem::swap(scratch.out_mut(), &mut self.merged);
-        Ok(cost)
+        })
     }
 
     /// Issues every segment's command stream serially on the engine, each
@@ -441,13 +451,11 @@ impl PartitionedLut {
             let mut record: Option<PlanKey> = None;
             if legal {
                 let key = PlanKey::new(
-                    PlanShape::Lane,
                     engine,
                     design,
                     store,
                     store.subarray().0.abs_diff(dest.0),
                     dest == source,
-                    0,
                 );
                 match plan::lookup(&key) {
                     Some(tape) if tape.replayable_from(engine) => {
@@ -563,9 +571,6 @@ impl PartitionedLut {
                 dest,
             };
             let mut ex = QueryExecutor::new(engine, design);
-            // The reference is the issuing oracle — never serve it from
-            // (or populate) the plan cache.
-            ex.set_use_plans(false);
             ex.execute_with(store, placement, &self.local, src_row, dst_row, scratch)?;
             for (i, &x) in inputs.iter().enumerate() {
                 if x >= base && x < base + span {
@@ -604,9 +609,9 @@ impl PartitionedLut {
 }
 
 /// One segment's issuing lane — the spend sequence the per-segment
-/// [`QueryExecutor`] produced pre-fusion, and the authoritative oracle a
-/// lane-shaped plan tape is recorded from. `out_row` must hold the packed
-/// merged output row.
+/// [`QueryExecutor`] produced pre-fusion, and the issuing path a lane's
+/// plan tape is recorded from. `out_row` must hold the packed merged
+/// output row.
 #[allow(clippy::too_many_arguments)]
 fn issue_lane(
     engine: &mut Engine,
@@ -653,199 +658,6 @@ fn issue_lane(
     Ok(())
 }
 
-/// A LUT resident in one *or many* pLUTo-enabled subarrays: the unified
-/// store the execution stack queries without caring whether the table fit
-/// a single subarray or was partitioned per §5.6.
-#[derive(Debug)]
-pub enum PlutoStore {
-    /// The LUT fits one subarray (a plain [`LutStore`]).
-    Single(LutStore),
-    /// The LUT exceeds `rows_per_subarray` and was partitioned (§5.6).
-    Partitioned(PartitionedLut),
-}
-
-impl PlutoStore {
-    /// Materializes `lut` starting at `first_subarray`, claiming
-    /// consecutive (pLUTo, master) subarray pairs: one pair for a LUT
-    /// that fits a subarray, one pair per segment otherwise.
-    ///
-    /// Routing is by *sweep legality*, not just size: a LUT whose length
-    /// exceeds `rows_per_subarray` partitions across subarrays, and a
-    /// truncated LUT whose length is not a power of two — which §6.1
-    /// forbids as a single sweep — takes the partitioned path too, where
-    /// it is padded to a power-of-two (possibly single-segment) sweep.
-    ///
-    /// # Errors
-    /// Fails if the bank runs out of subarrays.
-    pub fn load(
-        engine: &mut Engine,
-        lut: Lut,
-        bank: BankId,
-        first_subarray: SubarrayId,
-    ) -> Result<Self, PlutoError> {
-        if lut.len() > engine.config().rows_per_subarray as usize || !lut.len().is_power_of_two() {
-            return Ok(PlutoStore::Partitioned(PartitionedLut::load(
-                engine,
-                lut,
-                bank,
-                first_subarray,
-            )?));
-        }
-        let master = SubarrayId(first_subarray.0 + 1);
-        if master.0 >= engine.config().subarrays_per_bank {
-            return Err(PlutoError::AllocationFailed {
-                reason: "out of pLUTo-enabled subarrays".into(),
-            });
-        }
-        Ok(PlutoStore::Single(LutStore::load(
-            engine,
-            lut,
-            bank,
-            first_subarray,
-            master,
-            0,
-        )?))
-    }
-
-    /// The logical LUT this store answers queries for.
-    pub fn lut(&self) -> &Lut {
-        match self {
-            PlutoStore::Single(s) => s.lut(),
-            PlutoStore::Partitioned(p) => p.lut(),
-        }
-    }
-
-    /// Whether the LUT was partitioned across subarrays.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self, PlutoStore::Partitioned(_))
-    }
-
-    /// Number of pLUTo-enabled subarrays sweeping per query.
-    pub fn segment_count(&self) -> usize {
-        match self {
-            PlutoStore::Single(_) => 1,
-            PlutoStore::Partitioned(p) => p.segment_count(),
-        }
-    }
-
-    /// Subarrays this store occupies (one (pLUTo, master) pair per
-    /// segment) — what an allocator must advance its cursor by.
-    pub fn subarrays_claimed(&self) -> u16 {
-        2 * self.segment_count() as u16
-    }
-
-    /// Executes one bulk LUT query through whichever data path the store
-    /// uses, with caller-owned scratch buffers: inputs are packed into
-    /// `src_row` of `source`, the output vector is committed to `dst_row`
-    /// of `dest` and lands in [`QueryScratch::outputs`]. Returns the
-    /// §5.6-merged cost (a single-subarray query is the 1-segment case).
-    ///
-    /// # Errors
-    /// Fails if any input exceeds the LUT's range, the inputs exceed one
-    /// row's slot capacity, or on any underlying DRAM error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_with(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        inputs: &[u64],
-        src_row: RowId,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        self.route(
-            engine,
-            design,
-            source,
-            dest,
-            QueryInput::Slots(inputs),
-            src_row,
-            dst_row,
-            scratch,
-        )
-    }
-
-    /// [`PlutoStore::query_with`] for an input vector already resident in
-    /// `src_row` (the controller's `pluto_op` path).
-    ///
-    /// # Errors
-    /// Same conditions as [`PlutoStore::query_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_resident_with(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        src_row: RowId,
-        dst_row: RowId,
-        num_slots: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        self.route(
-            engine,
-            design,
-            source,
-            dest,
-            QueryInput::Resident(num_slots),
-            src_row,
-            dst_row,
-            scratch,
-        )
-    }
-
-    /// The single routing layer behind both query entry points: picks the
-    /// single-subarray executor or the partitioned fused path, then
-    /// dispatches on how the inputs arrive.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-        source: SubarrayId,
-        dest: SubarrayId,
-        input: QueryInput<'_>,
-        src_row: RowId,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-    ) -> Result<PartitionedCost, PlutoError> {
-        match self {
-            PlutoStore::Single(store) => {
-                let placement = QueryPlacement {
-                    bank: store.bank(),
-                    source,
-                    pluto: store.subarray(),
-                    dest,
-                };
-                let mut ex = QueryExecutor::new(engine, design);
-                let cost = match input {
-                    QueryInput::Slots(inputs) => {
-                        ex.execute_with(store, placement, inputs, src_row, dst_row, scratch)?
-                    }
-                    QueryInput::Resident(n) => {
-                        ex.execute_resident_with(store, placement, src_row, dst_row, n, scratch)?
-                    }
-                };
-                Ok(PartitionedCost {
-                    segments: 1,
-                    latency: cost.total(),
-                    energy: cost.energy,
-                })
-            }
-            PlutoStore::Partitioned(p) => match input {
-                QueryInput::Slots(inputs) => p.query_with(
-                    engine, design, source, dest, inputs, src_row, dst_row, scratch,
-                ),
-                QueryInput::Resident(n) => p.query_resident_with(
-                    engine, design, source, dest, src_row, dst_row, n, scratch,
-                ),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,6 +700,7 @@ mod tests {
         let expect: Vec<u64> = inputs.iter().map(|&x| x * x).collect();
         assert_eq!(out, expect);
         assert_eq!(cost.segments, 4);
+        assert_eq!(part.subarrays_claimed(), 8);
     }
 
     #[test]
@@ -1087,10 +900,16 @@ mod tests {
 
     #[test]
     fn small_luts_stay_single_segment() {
+        // A table that is exactly one power-of-two sweep is its own
+        // segment: one (pLUTo, master) pair and no element copy.
         let mut e = engine();
         let lut = Lut::from_fn("id4", 4, 4, |x| x).unwrap();
-        let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let part = PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
         assert_eq!(part.segment_count(), 1);
+        assert_eq!(part.subarrays_claimed(), 2);
+        let seg = part.segments()[0].lut();
+        assert_eq!(seg.name(), "id4");
+        assert!(Arc::ptr_eq(seg.elements_shared(), lut.elements_shared()));
     }
 
     #[test]
@@ -1130,52 +949,30 @@ mod tests {
     }
 
     #[test]
-    fn pluto_store_routes_by_size_and_claims_pairs() {
-        let mut e = engine();
-        let small = Lut::from_fn("route4", 4, 4, |x| x).unwrap();
-        let s = PlutoStore::load(&mut e, small, BankId(0), SubarrayId(2)).unwrap();
-        assert!(!s.is_partitioned());
-        assert_eq!(s.subarrays_claimed(), 2);
-        let big = Lut::from_fn("route8", 8, 16, |x| x + 1).unwrap();
-        let p = PlutoStore::load(&mut e, big, BankId(0), SubarrayId(4)).unwrap();
-        assert!(p.is_partitioned());
-        assert_eq!(p.segment_count(), 4);
-        assert_eq!(p.subarrays_claimed(), 8);
-    }
-
-    #[test]
-    fn non_power_of_two_luts_route_partitioned_even_when_they_fit() {
-        // §6.1 forbids a non-power-of-two single sweep, so a truncated
-        // 50-entry LUT on a 64-row subarray still takes the partitioned
-        // path: one segment, padded to a 64-row sweep.
+    fn non_power_of_two_luts_that_fit_are_one_padded_segment() {
+        // §6.1 forbids a non-power-of-two sweep, so a truncated 50-entry
+        // LUT on a 64-row subarray is one segment, padded to 64 rows.
         let mut e = engine();
         let lut = Lut::from_fn_len("odd50", 50, 16, |x| x * 5).unwrap();
-        let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
-        assert!(store.is_partitioned());
-        assert_eq!(store.segment_count(), 1);
-        match &store {
-            PlutoStore::Partitioned(p) => {
-                assert_eq!(p.segments()[0].lut().len(), 64, "padded to 2^6")
-            }
-            PlutoStore::Single(_) => unreachable!(),
-        }
+        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        assert_eq!(part.segment_count(), 1);
+        assert_eq!(part.segments()[0].lut().len(), 64, "padded to 2^6");
         let mut scratch = QueryScratch::new();
-        store
-            .query_with(
-                &mut e,
-                DesignKind::Bsa,
-                SRC,
-                DST,
-                &[0, 7, 49],
-                RowId(0),
-                RowId(1),
-                &mut scratch,
-            )
-            .unwrap();
+        part.query_with(
+            &mut e,
+            DesignKind::Bsa,
+            SRC,
+            DST,
+            &[0, 7, 49],
+            RowId(0),
+            RowId(1),
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(scratch.outputs(), [0, 35, 245]);
         // Indices in the padded range stay invalid.
         assert!(matches!(
-            store.query_with(
+            part.query_with(
                 &mut e,
                 DesignKind::Bsa,
                 SRC,
@@ -1190,16 +987,17 @@ mod tests {
     }
 
     #[test]
-    fn pluto_store_query_is_uniform_across_both_paths() {
-        // The same `query_with` call answers a small and a large LUT.
+    fn one_query_path_serves_small_and_large_luts() {
+        // The same `query_with` call answers a 1-segment and a 4-segment
+        // LUT.
         let mut e = engine();
         let mut scratch = QueryScratch::new();
-        for (name, bits) in [("uni6", 6u32), ("uni8", 8u32)] {
+        for (name, bits, segments) in [("uni6", 6u32, 1usize), ("uni8", 8u32, 4usize)] {
             let lut = Lut::from_fn(name, bits, 16, |x| x * 2 + 1).unwrap();
-            let mut store = PlutoStore::load(&mut e, lut, BankId(0), SubarrayId(20)).unwrap();
+            let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(20)).unwrap();
             let n = 1u64 << bits;
             let inputs: Vec<u64> = (0..8u64).map(|i| i * (n / 8)).collect();
-            let cost = store
+            let cost = part
                 .query_with(
                     &mut e,
                     DesignKind::Gmc,
@@ -1213,7 +1011,7 @@ mod tests {
                 .unwrap();
             let expect: Vec<u64> = inputs.iter().map(|&x| x * 2 + 1).collect();
             assert_eq!(scratch.outputs(), expect, "{name}");
-            assert_eq!(cost.segments, store.segment_count(), "{name}");
+            assert_eq!(cost.segments, segments, "{name}");
             assert!(cost.latency > Picos::ZERO && cost.energy > PicoJoules::ZERO);
         }
     }

@@ -1,20 +1,25 @@
 //! Compiled query plans (`DESIGN.md` §10): a process-wide cache of
-//! [`CostTape`]s memoizing the command-stream cost of a query.
+//! [`CostTape`]s memoizing the command-stream cost of one segment lane.
 //!
-//! The PR 4 word-parallel split made commands authoritative for *cost* and
-//! words authoritative for *data*. A query's command stream — and therefore
-//! its cost delta — is a pure function of the effective configuration,
-//! design, LUT geometry, placement distances, and residency state; the data
-//! path is a single gather. So the cost side can be *compiled*: the first
-//! execution under a `PlanKey` records a [`CostTape`] while running the
-//! ordinary issuing path, and every later execution under the same key
-//! performs only the gather + pack and applies the tape via
+//! The word-parallel split made commands authoritative for *cost* and
+//! words authoritative for *data*. Every query runs as a
+//! [`crate::partition::PartitionedLut`] (a LUT that fits one subarray is
+//! the one-segment case), and each segment lane's command stream — and
+//! therefore its cost delta — is a pure function of the effective
+//! configuration, design, segment geometry, placement distances, and
+//! residency state; the data path is a single gather. So the cost side
+//! can be *compiled*: the first lane issued under a `PlanKey` records a
+//! [`CostTape`] while running the ordinary issuing path, and every later
+//! lane under the same key applies the tape via
 //! [`Engine::apply_replayed`], skipping per-command simulation entirely.
+//! Lanes are the only tape shape, so a tape carries no phase marks and
+//! the key carries no shape or slot count (a lane's cost is independent
+//! of how many slots the query fills).
 //!
 //! ## Legality
 //!
 //! A tape is context-independent only when nothing outside the key can
-//! shift the delta. The executors therefore gate replay (and capture) on:
+//! shift the delta. The lane loop therefore gates replay (and capture) on:
 //!
 //! - the live tFAW-window *signature* at replay matching the one recorded
 //!   at capture ([`CostTape::replayable_from`]) — a warm window throttles
@@ -26,7 +31,7 @@
 //!
 //! Any failed gate falls back to full issuance (counted in
 //! [`PlanStats::fallbacks`]) and the issuing path stays available as the
-//! differential oracle (`QueryExecutor::set_use_plans(false)`), mirroring
+//! differential oracle (`PartitionedLut::set_use_plans(false)`), mirroring
 //! `execute_scalar_reference` / `query_serial_reference`.
 //!
 //! The cache mirrors the packed-row cache in [`crate::store`]: one
@@ -44,36 +49,24 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Queries whose cost was applied from a memoized tape.
+    /// Segment lanes whose cost was applied from a memoized tape.
     pub hits: u64,
-    /// Queries that recorded a new tape while issuing.
+    /// Lanes that recorded a new tape while issuing.
     pub misses: u64,
-    /// Queries that ran the issuing path because a legality gate failed
+    /// Lanes that ran the issuing path because a legality gate failed
     /// (trace on, warm tFAW window, stale store, or plans disabled on a
-    /// differential-oracle executor).
+    /// differential-oracle partition).
     pub fallbacks: u64,
     /// Tapes currently cached.
     pub entries: usize,
 }
 
-/// Which executor shape a tape belongs to. A whole-query tape carries
-/// three phase marks (reload/setup/sweep boundaries, for the
-/// `QueryCost` breakdown); a partitioned per-lane tape carries none —
-/// the shapes must never alias even when every other key field matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum PlanShape {
-    /// One full [`crate::query::QueryExecutor`] query.
-    Query,
-    /// One segment lane of a partitioned query (`crate::partition`).
-    Lane,
-}
-
-/// Everything that can shift a query's command-stream cost delta. Two
-/// executions with equal keys issue identical command streams from any
-/// inert start state, so one recorded tape serves both.
+/// Everything that can shift a lane's command-stream cost delta. Two
+/// lanes with equal keys issue identical command streams from any start
+/// state with the same timing signature, so one recorded tape serves
+/// both.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    shape: PlanShape,
     /// Effective DRAM geometry (row width bounds slot capacity; kind
     /// selects the default models).
     cfg: DramConfig,
@@ -95,9 +88,6 @@ pub(crate) struct PlanKey {
     output_bits: u32,
     slot_bits: u32,
     lut_len: usize,
-    /// Queried slot count (cost-neutral today, but part of the declared
-    /// plan identity so future slot-dependent commands stay sound).
-    num_slots: usize,
     /// LISA distance master ↔ pLUTo subarray (reload cost per row).
     reload_hops: u16,
     /// LISA distance pLUTo subarray ↔ destination (copy-out cost).
@@ -110,24 +100,20 @@ pub(crate) struct PlanKey {
 }
 
 impl PlanKey {
-    /// Builds the key for a query about to run on `engine` against
-    /// `store`. `out_hops` and `dest_is_source` come from the caller's
-    /// placement; `num_slots` is 0 for lane-shaped plans (a lane's cost
-    /// is slot-independent by construction).
+    /// Builds the key for a lane about to run on `engine` against the
+    /// segment `store`. `out_hops` and `dest_is_source` come from the
+    /// caller's placement.
     pub(crate) fn new(
-        shape: PlanShape,
         engine: &Engine,
         design: DesignKind,
         store: &LutStore,
         out_hops: u16,
         dest_is_source: bool,
-        num_slots: usize,
     ) -> PlanKey {
         let t = engine.timing();
         let e = engine.energy_model();
         let lut = store.lut();
         PlanKey {
-            shape,
             cfg: engine.config().clone(),
             timing: [
                 t.t_rcd.as_ps(),
@@ -156,7 +142,6 @@ impl PlanKey {
             output_bits: lut.output_bits(),
             slot_bits: lut.slot_bits(),
             lut_len: lut.len(),
-            num_slots,
             reload_hops: store.master().0.abs_diff(store.subarray().0),
             out_hops,
             dest_is_source,
@@ -203,7 +188,7 @@ pub(crate) fn insert(key: PlanKey, tape: CostTape) {
     cache.entries.insert(key, Arc::new(tape));
 }
 
-/// Counts a query that ran the issuing path because a legality gate
+/// Counts a lane that ran the issuing path because a legality gate
 /// failed.
 pub(crate) fn note_fallback() {
     plan_cache().lock().expect("plan cache poisoned").fallbacks += 1;

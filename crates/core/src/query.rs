@@ -15,6 +15,10 @@
 //! The executor issues the real per-design command streams on the
 //! [`Engine`], so measured latency/energy match the paper's Table 1 closed
 //! forms (asserted by tests), while the data path is simulated bit-exactly.
+//! It is the issuing path and the per-phase oracle: production queries run
+//! through [`crate::partition::PartitionedLut`] (a LUT that fits one
+//! subarray is its one-segment case), whose warm lanes replay compiled
+//! plans.
 //!
 //! ## Word-parallel data path (DESIGN.md §7)
 //!
@@ -36,7 +40,6 @@ use crate::lut::{
     pack_slots_into, pack_slots_scalar, slots_per_row, unpack_slots_into, unpack_slots_scalar,
 };
 use crate::match_logic;
-use crate::plan::{self, PlanKey, PlanShape};
 use crate::store::LutStore;
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId};
 use std::cell::RefCell;
@@ -134,40 +137,27 @@ impl QueryScratch {
     }
 
     /// Mutable access to the output slots, so the §5.6 partitioned path
-    /// ([`crate::partition`]) can surface its *merged* output vector
-    /// through the same scratch interface its per-segment sub-queries
-    /// wrote into.
+    /// ([`crate::partition`]) can gather its *merged* output vector
+    /// straight into the caller's scratch.
     pub(crate) fn out_mut(&mut self) -> &mut Vec<u64> {
         &mut self.out
     }
 }
 
-/// Executes pLUTo LUT Queries of one design on an [`Engine`].
+/// Executes pLUTo LUT Queries of one design on an [`Engine`], always
+/// through the full issuing path, with a per-phase [`QueryCost`]
+/// breakdown: the Table 1 cost API and the per-lane oracle behind
+/// [`crate::partition::PartitionedLut::query_serial_reference`].
 #[derive(Debug)]
 pub struct QueryExecutor<'e> {
     engine: &'e mut Engine,
     design: DesignKind,
-    /// Whether the compiled-plan cache may serve this executor's queries
-    /// (`crate::plan`). Disabled on differential-oracle executors so the
-    /// issuing path stays observable.
-    use_plans: bool,
 }
 
 impl<'e> QueryExecutor<'e> {
     /// Creates an executor for `design` driving `engine`.
     pub fn new(engine: &'e mut Engine, design: DesignKind) -> Self {
-        QueryExecutor {
-            engine,
-            design,
-            use_plans: true,
-        }
-    }
-
-    /// Enables or disables the compiled-plan cache for this executor.
-    /// With plans off every query runs the full issuing path — the
-    /// differential oracle the replay tests compare against.
-    pub fn set_use_plans(&mut self, on: bool) {
-        self.use_plans = on;
+        QueryExecutor { engine, design }
     }
 
     /// The design this executor models.
@@ -212,7 +202,7 @@ impl<'e> QueryExecutor<'e> {
 
     /// [`QueryExecutor::execute`] with caller-owned scratch buffers: the
     /// output vector lands in [`QueryScratch::outputs`] instead of a fresh
-    /// allocation. This is the hot-path entry point operation streams use.
+    /// allocation.
     ///
     /// # Errors
     /// Same conditions as [`QueryExecutor::execute`].
@@ -337,79 +327,6 @@ impl<'e> QueryExecutor<'e> {
             }
         }
 
-        // Compiled-plan gate (`crate::plan`, DESIGN.md §10): replay is
-        // legal only when the cost delta is context-independent — no
-        // command trace to populate, and no pending *functional* reload
-        // the replay would skip (GSA reloads per query, so its stale
-        // stores replay fine). The remaining context — the tFAW window
-        // phase — is checked per tape via its recorded signature.
-        let replay_legal = self.use_plans
-            && !self.engine.trace_enabled()
-            && (self.design.reload_per_query() || store.is_loaded());
-        if !replay_legal {
-            if self.use_plans {
-                plan::note_fallback();
-            }
-            return self.issue_resident(store, placement, src_row, dst_row, scratch);
-        }
-        let key = PlanKey::new(
-            PlanShape::Query,
-            self.engine,
-            self.design,
-            store,
-            placement.pluto.0.abs_diff(placement.dest.0),
-            placement.dest == placement.source,
-            num_slots,
-        );
-        if let Some(tape) = plan::lookup(&key) {
-            if tape.replayable_from(self.engine) {
-                return self.replay_resident(store, placement, dst_row, scratch, &tape);
-            }
-            // Cached under this key, but captured from a different tFAW
-            // phase — issue in full rather than apply a delta that would
-            // mis-model this context's throttling.
-            plan::note_fallback();
-            return self.issue_resident(store, placement, src_row, dst_row, scratch);
-        }
-        // Miss: run the issuing path under a recorder and memoize the tape
-        // (unless the capture was voided by a mid-query absolute-time jump
-        // or the query failed).
-        self.engine.begin_tape();
-        let result = self.issue_resident(store, placement, src_row, dst_row, scratch);
-        match &result {
-            Ok(_) => {
-                if let Some(tape) = self.engine.end_tape() {
-                    plan::insert(key, tape);
-                }
-            }
-            Err(_) => self.engine.abort_tape(),
-        }
-        result
-    }
-
-    /// The issuing path: drives the full per-design command stream, the
-    /// authoritative cost model and the differential oracle for plan
-    /// replay. Expects `scratch.live` to hold the validated input slots
-    /// (the shared validation pass in
-    /// [`QueryExecutor::execute_resident_with`]).
-    fn issue_resident(
-        &mut self,
-        store: &mut LutStore,
-        placement: QueryPlacement,
-        src_row: RowId,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryCost, PlutoError> {
-        let lut = store.lut().clone();
-        let slot_bits = lut.slot_bits();
-        let row_bytes = self.engine.config().row_bytes;
-        let num_slots = scratch.live.len();
-        let bank = placement.bank;
-        let src_loc = RowLoc {
-            bank,
-            subarray: placement.source,
-            row: src_row,
-        };
         let clock0 = self.engine.elapsed();
         let energy0 = self.engine.command_energy();
 
@@ -421,7 +338,6 @@ impl<'e> QueryExecutor<'e> {
         } else {
             store.ensure_ready(self.engine, self.design)?;
         }
-        self.engine.mark_tape_phase();
         let clock_r = self.engine.elapsed();
         let energy_r = self.engine.command_energy();
 
@@ -433,7 +349,6 @@ impl<'e> QueryExecutor<'e> {
             let buf = self.engine.row_buffer(bank, placement.source)?;
             unpack_slots_into(&buf.data, slot_bits, num_slots, &mut scratch.live);
         }
-        self.engine.mark_tape_phase();
         let clock_s = self.engine.elapsed();
         let energy_s = self.engine.command_energy();
 
@@ -463,7 +378,6 @@ impl<'e> QueryExecutor<'e> {
                 .iter()
                 .map(|&x| elements.get(x as usize).copied().unwrap_or(0)),
         );
-        self.engine.mark_tape_phase();
         let clock_w = self.engine.elapsed();
         let energy_w = self.engine.command_energy();
 
@@ -476,7 +390,7 @@ impl<'e> QueryExecutor<'e> {
         // (and commit it to the destination row). If the destination shares
         // the source subarray, close the source row *first* so the LISA
         // write-through cannot clobber the still-open input row.
-        pack_slots_into(&scratch.out, slot_bits, row_bytes, &mut scratch.row)?;
+        pack_slots_into(&scratch.out, slot_bits, cfg.row_bytes, &mut scratch.row)?;
         if placement.dest == placement.source {
             self.engine.precharge(bank, placement.source)?;
         }
@@ -491,73 +405,6 @@ impl<'e> QueryExecutor<'e> {
         let clock_end = self.engine.elapsed();
         let energy_end = self.engine.command_energy();
 
-        let cost = QueryCost {
-            setup: clock_s - clock_r,
-            reload: clock_r - clock0,
-            sweep: clock_w - clock_s,
-            copyout: clock_end - clock_w,
-            energy: energy_end - energy0,
-            sweep_energy: energy_w - energy_s,
-            reload_energy: energy_r - energy0,
-        };
-        Ok(cost)
-    }
-
-    /// The warm-plan path: performs the query's *data* effects — the one
-    /// gather pass, the packed commit to the destination row, and GSA
-    /// destruction — then applies the memoized cost tape. The phase
-    /// snapshots land on the same absolute clock/energy values the
-    /// issuing path reaches, so the returned [`QueryCost`] is built from
-    /// the identical subtractions and is bit-identical to it.
-    fn replay_resident(
-        &mut self,
-        store: &mut LutStore,
-        placement: QueryPlacement,
-        dst_row: RowId,
-        scratch: &mut QueryScratch,
-        tape: &pluto_dram::CostTape,
-    ) -> Result<QueryCost, PlutoError> {
-        let lut = store.lut().clone();
-        let slot_bits = lut.slot_bits();
-        let row_bytes = self.engine.config().row_bytes;
-        let clock0 = self.engine.elapsed();
-        let energy0 = self.engine.command_energy();
-
-        // Data path: `scratch.live` holds the validated input slots, which
-        // are bit-identical to what the issuing path's source activation
-        // would latch (the resident row was peeked by the same unpack).
-        scratch.out.clear();
-        let elements = lut.elements();
-        scratch.out.extend(
-            scratch
-                .live
-                .iter()
-                .map(|&x| elements.get(x as usize).copied().unwrap_or(0)),
-        );
-        // Commit the output vector to the destination row — same bytes the
-        // issuing path's deposit + LISA write-through commits.
-        pack_slots_into(&scratch.out, slot_bits, row_bytes, &mut scratch.row)?;
-        let dst_loc = RowLoc {
-            bank: placement.bank,
-            subarray: placement.dest,
-            row: dst_row,
-        };
-        self.engine.poke_row(dst_loc, &scratch.row)?;
-        // GSA: the sweep the tape stands in for destroyed the LUT.
-        if self.design.destructive_reads() {
-            store.mark_destroyed(self.engine)?;
-        }
-
-        let snaps = self.engine.apply_replayed(tape);
-        let clock_end = self.engine.elapsed();
-        let energy_end = self.engine.command_energy();
-        let [(clock_r, energy_r), (clock_s, energy_s), (clock_w, energy_w)] = snaps[..] else {
-            // Structurally impossible: query-shaped tapes record exactly
-            // three phase marks. Treated as corruption, not fallback.
-            return Err(PlutoError::LayoutMismatch {
-                reason: format!("query plan tape carried {} phase marks", snaps.len()),
-            });
-        };
         Ok(QueryCost {
             setup: clock_s - clock_r,
             reload: clock_r - clock0,

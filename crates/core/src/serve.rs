@@ -87,7 +87,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 /// The LUT is shared by `Arc` so that thousands of queries against one
 /// registry LUT (the serving steady state) carry a pointer, not a table
 /// copy; affinity batching keys on the LUT's identity
-/// (name/width/length), so clones of one logical LUT coalesce together.
+/// (name/width/length) and joins a filling batch only when its table is
+/// the same, so clones of one logical LUT coalesce together while a
+/// different table reusing a name opens its own batch.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     /// Execution configuration (design, memory kind, geometry, seed).
@@ -431,7 +433,15 @@ impl Server {
         };
 
         let entry = ServeEntry { seq, inputs, reply };
-        match self.pending.iter_mut().find(|b| b.key == key) {
+        // A batch runs every entry on its own `lut`, so joining one takes
+        // the same table, not just the same key (the witness rule of
+        // `PlutoMachine::store_for` and the packed-row cache).
+        let same_table = |b: &PendingBatch| Arc::ptr_eq(&b.lut, &lut) || *b.lut == *lut;
+        match self
+            .pending
+            .iter_mut()
+            .find(|b| b.key == key && same_table(b))
+        {
             Some(batch) => batch.entries.push(entry),
             None => self.pending.push(PendingBatch {
                 key,
@@ -758,6 +768,33 @@ mod tests {
         assert_eq!(reply.values, values);
         assert_eq!(reply.report, report);
         assert_eq!(reply.values, vec![0, 255, 77]);
+    }
+
+    #[test]
+    fn same_key_different_tables_never_share_a_batch() {
+        // Two 8→8-bit tables both named `tone` share an affinity key; each
+        // reply must still come from its own table.
+        let up = Arc::new(Lut::from_fn("tone", 8, 8, |x| x).unwrap());
+        let down = Arc::new(Lut::from_fn("tone", 8, 8, |x| 255 - x).unwrap());
+        let specs: Vec<QuerySpec> = [&up, &down, &up]
+            .into_iter()
+            .map(|lut| QuerySpec {
+                config: ExecConfig::measurement(DesignKind::Gmc),
+                lut: Arc::clone(lut),
+                inputs: vec![1, 2, 3],
+            })
+            .collect();
+        let mut server = Server::with_workers(1);
+        let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
+        server.flush();
+        for (s, t) in specs.iter().zip(tickets) {
+            let reply = t.wait().unwrap();
+            assert_eq!(reply.values, s.lut.apply_all(&s.inputs).unwrap());
+            let (values, report) = serial_oracle(s).unwrap();
+            assert_eq!(reply.values, values);
+            assert_eq!(reply.report, report);
+        }
+        assert_eq!(server.stats().affinities, 1, "one key, two batches");
     }
 
     #[test]

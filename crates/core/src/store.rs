@@ -202,47 +202,16 @@ impl LutStore {
         master: SubarrayId,
         master_row_base: u16,
     ) -> Result<Self, PlutoError> {
-        let cfg = engine.config().clone();
-        if lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::InvalidLut {
-                reason: format!(
-                    "{} elements exceed the {}-row subarray (partition across subarrays instead, §5.6)",
-                    lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        if master == subarray {
-            return Err(PlutoError::AllocationFailed {
-                reason: "master copy must live in a different subarray".into(),
-            });
-        }
-        if master_row_base as usize + lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::AllocationFailed {
-                reason: format!(
-                    "master rows {}..{} overflow the {}-row subarray",
-                    master_row_base,
-                    master_row_base as usize + lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
+        // Validate before packing, so a LUT that cannot be placed never
+        // reaches the packed-row cache.
+        check_placement(engine, &lut, subarray, master, master_row_base)?;
         // Packed element rows come from the process-wide cache: repeated
         // loads of the same LUT (pooled cluster machines, GSA streams)
         // skip the packing work entirely, and the bulk poke shares the
         // cached rows into DRAM as copy-on-write handles (a repeat load
         // of an unchanged table moves no bytes at all).
-        let rows = packed_rows(&lut, cfg.row_bytes);
-        engine.poke_rows_shared(bank, subarray, RowId(0), &rows)?;
-        engine.poke_rows_shared(bank, master, RowId(master_row_base), &rows)?;
-        Ok(LutStore {
-            lut,
-            bank,
-            subarray,
-            master,
-            master_row_base,
-            loaded: true,
-        })
+        let rows = packed_rows(&lut, engine.config().row_bytes);
+        LutStore::load_sliced(engine, lut, bank, subarray, master, master_row_base, &rows)
     }
 
     /// Materializes a LUT whose packed rows the caller already holds — the
@@ -262,36 +231,12 @@ impl LutStore {
         master_row_base: u16,
         rows: &[Arc<Vec<u8>>],
     ) -> Result<Self, PlutoError> {
-        let cfg = engine.config();
         if rows.len() != lut.len() {
             return Err(PlutoError::InvalidLut {
                 reason: format!("{} packed rows for a {}-element LUT", rows.len(), lut.len()),
             });
         }
-        if lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::InvalidLut {
-                reason: format!(
-                    "{} elements exceed the {}-row subarray (partition across subarrays instead, §5.6)",
-                    lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
-        if master == subarray {
-            return Err(PlutoError::AllocationFailed {
-                reason: "master copy must live in a different subarray".into(),
-            });
-        }
-        if master_row_base as usize + lut.len() > cfg.rows_per_subarray as usize {
-            return Err(PlutoError::AllocationFailed {
-                reason: format!(
-                    "master rows {}..{} overflow the {}-row subarray",
-                    master_row_base,
-                    master_row_base as usize + lut.len(),
-                    cfg.rows_per_subarray
-                ),
-            });
-        }
+        check_placement(engine, &lut, subarray, master, master_row_base)?;
         engine.poke_rows_shared(bank, subarray, RowId(0), rows)?;
         engine.poke_rows_shared(bank, master, RowId(master_row_base), rows)?;
         Ok(LutStore {
@@ -413,6 +358,41 @@ impl LutStore {
         }
         Ok(())
     }
+}
+
+/// The placement checks both loaders share: the LUT fits one subarray,
+/// the master copy lives in a different subarray, and the master rows fit
+/// theirs.
+fn check_placement(
+    engine: &Engine,
+    lut: &Lut,
+    subarray: SubarrayId,
+    master: SubarrayId,
+    master_row_base: u16,
+) -> Result<(), PlutoError> {
+    let rows = engine.config().rows_per_subarray as usize;
+    if lut.len() > rows {
+        return Err(PlutoError::InvalidLut {
+            reason: format!(
+                "{} elements exceed the {rows}-row subarray (partition across subarrays instead, §5.6)",
+                lut.len()
+            ),
+        });
+    }
+    if master == subarray {
+        return Err(PlutoError::AllocationFailed {
+            reason: "master copy must live in a different subarray".into(),
+        });
+    }
+    let master_end = master_row_base as usize + lut.len();
+    if master_end > rows {
+        return Err(PlutoError::AllocationFailed {
+            reason: format!(
+                "master rows {master_row_base}..{master_end} overflow the {rows}-row subarray"
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -337,7 +337,6 @@ impl Engine {
             // lands on exactly the clock the issuing path reaches.
             let delta = (self.clock - rec.last_clock) + duration;
             rec.last_clock = self.clock + duration;
-            rec.spends += 1;
             match rec.ops.last_mut() {
                 Some(op)
                     if op.delta == delta
@@ -1096,23 +1095,11 @@ impl Engine {
             entry_stats: self.stats,
             entry_sig: self.timing_signature(),
             ops: Vec::new(),
-            marks: Vec::new(),
-            spends: 0,
             acts: 0,
             act_tail: Vec::new(),
             queued: 0,
             queue_tail: Vec::new(),
         });
-    }
-
-    /// Records a phase boundary on the active tape (a no-op outside a
-    /// capture): [`Engine::apply_replayed`] returns one `(clock, energy)`
-    /// snapshot per mark, in order, letting callers reconstruct per-phase
-    /// cost breakdowns without re-issuing commands.
-    pub fn mark_tape_phase(&mut self) {
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.marks.push(rec.spends);
-        }
     }
 
     /// Finishes the active capture and returns the tape, or `None` if no
@@ -1123,7 +1110,6 @@ impl Engine {
         let end_share_open = self.rank.share_open_sig(self.clock, self.timing.t_ras);
         self.recorder.take().map(|rec| CostTape {
             ops: rec.ops,
-            marks: rec.marks,
             stats: self.stats.since(&rec.entry_stats),
             entry_sig: rec.entry_sig,
             acts: rec.acts,
@@ -1145,38 +1131,24 @@ impl Engine {
     /// issued from the current clock: clock and energy advance through the
     /// identical sequence of additions the issuing path performs (so the
     /// end state is bit-identical), command counters merge, and the tFAW
-    /// window is reconstructed from the tape's activation tail. Returns
-    /// one `(clock, energy)` snapshot per recorded phase mark.
+    /// window is reconstructed from the tape's activation tail.
     ///
     /// Legality is the caller's contract:
     /// [`CostTape::replayable_from`] must hold (checked by
     /// `debug_assert`). Any capture in progress on *this* engine is
     /// dropped (a replayed delta has no per-command structure to
     /// re-record).
-    pub fn apply_replayed(&mut self, tape: &CostTape) -> Vec<(Picos, PicoJoules)> {
+    pub fn apply_replayed(&mut self, tape: &CostTape) {
         debug_assert!(
             tape.replayable_from(self),
             "cost-tape replay across backends or from a state with a different timing signature"
         );
         self.recorder = None;
         let entry = self.clock;
-        let mut snapshots = Vec::with_capacity(tape.marks.len());
-        let mut next_mark = tape.marks.iter().copied();
-        let mut pending = next_mark.next();
-        let mut done = 0u64;
-        while pending == Some(done) {
-            snapshots.push((self.clock, self.command_energy));
-            pending = next_mark.next();
-        }
         for op in &tape.ops {
             for _ in 0..op.repeat {
                 self.clock += op.delta;
                 self.command_energy += op.energy;
-                done += 1;
-                while pending == Some(done) {
-                    snapshots.push((self.clock, self.command_energy));
-                    pending = next_mark.next();
-                }
             }
         }
         self.stats.merge(&tape.stats);
@@ -1204,7 +1176,6 @@ impl Engine {
         }
         self.rank
             .restore_open(&tape.end_bank_open, &tape.end_share_open, self.clock);
-        snapshots
     }
 }
 
@@ -1232,10 +1203,6 @@ struct TapeRecorder {
     /// Timing-state signature at capture start (replay-legality witness).
     entry_sig: TimingSig,
     ops: Vec<TapeOp>,
-    /// Phase boundaries, as spend counts (see [`Engine::mark_tape_phase`]).
-    marks: Vec<u64>,
-    /// Total spends so far (mark positions index into this count).
-    spends: u64,
     /// Total ACT issues so far.
     acts: u64,
     /// Offsets (from `entry_clock`) of the last ≤4 ACT issues, for
@@ -1259,7 +1226,6 @@ struct TapeRecorder {
 #[derive(Debug, Clone)]
 pub struct CostTape {
     ops: Vec<TapeOp>,
-    marks: Vec<u64>,
     stats: CommandStats,
     entry_sig: TimingSig,
     acts: u64,
@@ -1277,12 +1243,6 @@ pub struct CostTape {
 }
 
 impl CostTape {
-    /// Number of phase marks recorded on this tape (one
-    /// [`Engine::apply_replayed`] snapshot is returned per mark).
-    pub fn mark_count(&self) -> usize {
-        self.marks.len()
-    }
-
     /// Command-counter delta the taped stream produces.
     pub fn stats(&self) -> &CommandStats {
         &self.stats
@@ -1767,8 +1727,7 @@ mod tests {
     }
 
     /// A representative query-shaped stream (reload, activate, sweep,
-    /// precharge, copy-out RBM, precharge) issued on `e`, with a phase
-    /// mark after the reload and after the sweep.
+    /// precharge, copy-out RBM, precharge) issued on `e`.
     fn issue_query_shape(e: &mut Engine) {
         e.lisa_reload_rows(
             BankId(0),
@@ -1779,7 +1738,6 @@ mod tests {
             6,
         )
         .unwrap();
-        e.mark_tape_phase();
         e.activate(RowLoc::new(0, 1, 0)).unwrap();
         e.sweep_rows(
             BankId(0),
@@ -1789,7 +1747,6 @@ mod tests {
             SweepStepKind::ChargeShare,
         )
         .unwrap();
-        e.mark_tape_phase();
         e.precharge(BankId(0), SubarrayId(3)).unwrap();
         e.deposit_buffer(BankId(0), SubarrayId(3), &[0; 16])
             .unwrap();
@@ -1801,14 +1758,13 @@ mod tests {
     #[test]
     fn tape_replay_is_bit_identical_from_a_different_inert_state() {
         // Capture from one inert state, replay from another (different
-        // clock, different energy history). End clock, energy bits,
-        // counters, and phase snapshots must all match a freshly issued
-        // stream from the replay state.
+        // clock, different energy history). End clock, energy bits, and
+        // counters must all match a freshly issued stream from the replay
+        // state.
         let mut rec = binding();
         rec.begin_tape();
         issue_query_shape(&mut rec);
         let tape = rec.end_tape().expect("capture survived");
-        assert_eq!(tape.mark_count(), 2);
 
         // A different start state: some prior history, then idle long
         // enough that the window is inert.
@@ -1820,7 +1776,7 @@ mod tests {
         let mut b = a.clone();
 
         issue_query_shape(&mut a); // issuing oracle
-        let snaps = b.apply_replayed(&tape); // memoized replay
+        b.apply_replayed(&tape); // memoized replay
         assert_eq!(b.elapsed(), a.elapsed(), "replayed clock == issued clock");
         assert_eq!(
             b.command_energy().as_pj().to_bits(),
@@ -1828,9 +1784,6 @@ mod tests {
             "replayed energy bit-identical"
         );
         assert_eq!(b.stats(), a.stats(), "replayed counters == issued");
-        assert_eq!(snaps.len(), 2);
-        // Snapshots land on the same absolute clocks a marked issue would.
-        assert!(snaps[0].0 < snaps[1].0 && snaps[1].0 < b.elapsed());
     }
 
     #[test]
@@ -1887,23 +1840,5 @@ mod tests {
         e.begin_tape();
         e.abort_tape();
         assert!(e.end_tape().is_none(), "abort drops capture");
-    }
-
-    #[test]
-    fn replay_with_leading_marks_snapshots_the_entry_state() {
-        // A tape whose first phase costs nothing (e.g. a no-reload query)
-        // has its first mark at zero spends; the snapshot must be the
-        // entry clock/energy.
-        let mut e = binding();
-        e.begin_tape();
-        e.mark_tape_phase();
-        e.activate(RowLoc::new(0, 0, 0)).unwrap();
-        e.precharge(BankId(0), SubarrayId(0)).unwrap();
-        let tape = e.end_tape().expect("capture survived");
-        let mut b = binding();
-        b.advance_clock_to(Picos::from_ns(40.0));
-        let entry = (b.elapsed(), b.command_energy());
-        let snaps = b.apply_replayed(&tape);
-        assert_eq!(snaps, vec![entry]);
     }
 }

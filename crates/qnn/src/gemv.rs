@@ -12,7 +12,7 @@
 //! - [`GemvPath::Direct`] — one query per MAC against a signed
 //!   direct-product table ([`smul_lut`]). At 8-bit operands that table
 //!   is 65 536 entries — `MulDirect8`-scale — and spills across 128
-//!   §5.6 segments of a partitioned [`pluto_core::partition::PlutoStore`].
+//!   §5.6 segments of a [`pluto_core::partition::PartitionedLut`].
 //!   Latency-optimal (a partitioned query keeps single-query latency),
 //!   capacity- and energy-hungry (every segment pays the sweep).
 //! - [`GemvPath::NibblePlane`] — the `Mul8` contrast: operands split

@@ -1,9 +1,9 @@
 //! Direct large-table workloads exercising the §5.6 partitioned-LUT path.
 //!
 //! Both scenarios tabulate the *whole* function as one logical LUT that
-//! exceeds `rows_per_subarray`, so every query runs through the
-//! partitioned data path (`pluto_core::partition`) that the
-//! machine/controller route oversized LUTs through transparently:
+//! exceeds `rows_per_subarray`, so every query sweeps many segments of
+//! the partitioned store (`pluto_core::partition`) that the
+//! machine/controller keep every LUT in:
 //!
 //! * [`Gamma12Workload`] — a direct 12-bit → 8-bit tone map (4096-entry
 //!   table, 8 segments on the 512-row measurement geometry): the

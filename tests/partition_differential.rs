@@ -3,7 +3,7 @@
 //! Partitioned queries must be *bit-identical* to two independent
 //! oracles — the host-side software LUT and an unpartitioned
 //! single-subarray run of the same table on a geometry where it fits —
-//! across all 3 designs × 2 memory kinds × segment counts {2, 3, 4},
+//! across all 3 designs × 2 memory kinds × segment counts {1, 2, 3, 4},
 //! including boundary inputs on segment seams. On top, the suite locks
 //! the §5.6 engine-reconciliation invariant (the engine's own clock and
 //! energy deltas equal the merged cost) and the end-to-end
@@ -67,7 +67,7 @@ fn seam_inputs(len: usize) -> Vec<u64> {
 fn partitioned_matches_host_oracle_and_unpartitioned_run() {
     for kind in [MemoryKind::Ddr4, MemoryKind::Stacked3d] {
         for design in DesignKind::ALL {
-            for segs in [2usize, 3, 4] {
+            for segs in [1usize, 2, 3, 4] {
                 let label = format!("{design}/{kind}/{segs}seg");
                 let len = segs * SEG_ROWS;
                 let lut =
@@ -296,7 +296,7 @@ fn apply_and_map_agree_on_odd_length_luts_that_fit_one_subarray() {
 #[test]
 fn machine_map_and_apply_agree_on_partitioned_luts() {
     // The compiled ISA path (map → Controller → pluto_op) and the fast
-    // path (apply → PlutoStore) must produce identical values for a
+    // path (apply → PartitionedLut) must produce identical values for a
     // partitioned LUT, exactly as they do for small LUTs.
     let mut session = Session::builder(DesignKind::Bsa)
         .subarrays(24)

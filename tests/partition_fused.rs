@@ -10,7 +10,7 @@
 //! sequence is replayed exactly, so even float non-associativity cannot
 //! separate them), engine clock/energy deltas, command counters, and the
 //! committed source/destination/LUT row bytes. Swept across segment
-//! counts {2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds × both
+//! counts {1, 2, 3, 4, 8, 128} × all 3 designs × 2 memory kinds × both
 //! timing backends, with seam-boundary inputs, two rounds each (GSA's
 //! destroy-reload steady state included).
 //!
@@ -28,9 +28,10 @@ use pluto_repro::dram::{
 /// Rows per subarray: small, so even the 128-segment sweep stays fast.
 const SEG_ROWS: usize = 64;
 
-/// Segment counts under test; 128 is the §5.6 high-segment-count regime
-/// (an 8192-entry table on this geometry).
-const SEGMENT_COUNTS: [usize; 5] = [2, 3, 4, 8, 128];
+/// Segment counts under test; 1 is every LUT that fits one subarray,
+/// and 128 is the §5.6 high-segment-count regime (an 8192-entry table on
+/// this geometry).
+const SEGMENT_COUNTS: [usize; 6] = [1, 2, 3, 4, 8, 128];
 
 fn engine(kind: MemoryKind, backend: TimingBackend, segs: usize) -> Engine {
     Engine::new(DramConfig {

@@ -1,19 +1,19 @@
 //! Differential suite for the compiled query-plan cache (`DESIGN.md`
 //! §10): warm-plan replay must be indistinguishable from the full
-//! issuing path at every observable level — output words, `QueryCost` /
-//! `PartitionedCost` breakdowns, engine clock, energy (compared on raw
+//! issuing path at every observable level — output words, the
+//! `PartitionedCost` breakdown, engine clock, energy (compared on raw
 //! `f64` bits), command counters, and committed DRAM rows — across all
 //! three designs × both memory kinds × varied tFAW scales × interleaved
 //! LUTs, cold and warm, including GSA's reload-per-query stores and
-//! 128-segment partitioned queries. Non-replayable contexts (command
-//! tracing, a tFAW-window signature mismatch) must fall back to full
-//! issuance, not replay a wrong tape.
+//! 128-segment partitioned queries. Every query runs through
+//! `PartitionedLut` (a LUT that fits one subarray is the one-segment
+//! case), with a `set_use_plans(false)` twin as the issuing oracle.
+//! Non-replayable contexts (command tracing, a tFAW-window signature
+//! mismatch) must fall back to full issuance, not replay a wrong tape.
 
 use pluto_repro::core::lut::{slots_per_row, width_mask, Lut};
 use pluto_repro::core::partition::PartitionedLut;
 use pluto_repro::core::plan;
-use pluto_repro::core::query::{QueryExecutor, QueryPlacement};
-use pluto_repro::core::store::LutStore;
 use pluto_repro::core::DesignKind;
 use pluto_repro::dram::{
     BankId, DramConfig, EnergyModel, Engine, MemoryKind, Picos, RowId, RowLoc, SubarrayId,
@@ -21,6 +21,11 @@ use pluto_repro::dram::{
 };
 use sim_support::prop::{self, Gen};
 use sim_support::prop_assert_eq;
+
+/// Source and destination subarrays of every query; stores claim their
+/// (pLUTo, master) pairs from subarray 2 up.
+const SRC: SubarrayId = SubarrayId(0);
+const DST: SubarrayId = SubarrayId(1);
 
 /// A small-geometry engine with an explicit tFAW scale (0.0 disables the
 /// window entirely; >1.0 makes the four-activate throttle bite harder).
@@ -51,13 +56,27 @@ fn engine(kind: MemoryKind, t_faw_scale: f64) -> Engine {
     )
 }
 
-fn setup(e: &mut Engine, lut: Lut) -> (LutStore, QueryPlacement) {
-    let bank = BankId(0);
-    let pluto = SubarrayId(2);
-    let n = lut.len() as u16;
-    let base = e.config().rows_per_subarray - n;
-    let store = LutStore::load(e, lut, bank, pluto, SubarrayId(1), base).unwrap();
-    (store, QueryPlacement::adjacent(bank, pluto))
+/// Loads `lut` (≤ 64 entries) as a one-segment partition at subarray
+/// `pluto`, master copy at `pluto + 1`.
+fn setup(e: &mut Engine, lut: Lut, pluto: u16) -> PartitionedLut {
+    let part = PartitionedLut::load(e, lut, BankId(0), SubarrayId(pluto)).unwrap();
+    assert_eq!(part.segment_count(), 1);
+    part
+}
+
+/// [`setup`] with plans disabled: the issuing oracle.
+fn oracle(e: &mut Engine, lut: Lut, pluto: u16) -> PartitionedLut {
+    let mut part = setup(e, lut, pluto);
+    part.set_use_plans(false);
+    part
+}
+
+fn dst_loc(row: RowId) -> RowLoc {
+    RowLoc {
+        bank: BankId(0),
+        subarray: DST,
+        row,
+    }
 }
 
 /// A random LUT with an effectively unique name, so every sweep case
@@ -82,7 +101,8 @@ fn random_lut(g: &mut Gen, tag: u64) -> Lut {
 /// query records a tape and whose second replays from a warm clock), a
 /// second plans-enabled engine (whose first query replays the cached
 /// tape cold), and a plans-disabled issuing oracle are indistinguishable
-/// query by query.
+/// query by query. The two queries take different random input vectors,
+/// so a tape recorded at one slot count replays at another.
 #[test]
 fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
     let before = plan::plan_stats();
@@ -93,43 +113,34 @@ fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
             for design in DesignKind::ALL {
                 let lut = random_lut(g, tag);
                 let capacity = slots_per_row(32, lut.slot_bits());
-                let inputs: Vec<u64> = g.vec(1, capacity, |g| g.range(0..lut.len() as u64));
+                let queries: Vec<Vec<u64>> = (0..2)
+                    .map(|_| g.vec(1, capacity, |g| g.range(0..lut.len() as u64)))
+                    .collect();
                 let dst_row = RowId(g.range(0u16..8));
                 let label = format!("{design}/{kind}/x{scale}/{}", lut.name());
 
                 let mut e_rec = engine(kind, scale);
-                let (mut store_r, placement) = setup(&mut e_rec, lut.clone());
+                let mut p_rec = setup(&mut e_rec, lut.clone(), 2);
                 let mut e_warm = engine(kind, scale);
-                let (mut store_w, _) = setup(&mut e_warm, lut.clone());
+                let mut p_warm = setup(&mut e_warm, lut.clone(), 2);
                 let mut e_oracle = engine(kind, scale);
-                let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
+                let mut p_oracle = oracle(&mut e_oracle, lut.clone(), 2);
 
                 // Two back-to-back queries: the first records (recorder) /
                 // replays cold (warm engine); the second replays from a
                 // warm clock — or legally falls back when the live tFAW
                 // window diverges from the recorded signature.
-                for step in 0..2 {
-                    let (out_r, cost_r) = {
-                        let mut ex = QueryExecutor::new(&mut e_rec, design);
-                        ex.execute(&mut store_r, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
-                    let (out_w, cost_w) = {
-                        let mut ex = QueryExecutor::new(&mut e_warm, design);
-                        ex.execute(&mut store_w, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
-                    let (out_o, cost_o) = {
-                        let mut ex = QueryExecutor::new(&mut e_oracle, design);
-                        ex.set_use_plans(false);
-                        ex.execute(&mut store_o, placement, &inputs, RowId(0), dst_row)
-                            .unwrap()
-                    };
-                    prop_assert_eq!(
-                        &out_o,
-                        &lut.apply_all(&inputs).unwrap(),
-                        "semantics {label}"
-                    );
+                for (step, inputs) in queries.iter().enumerate() {
+                    let (out_r, cost_r) = p_rec
+                        .query(&mut e_rec, design, SRC, DST, inputs, RowId(0), dst_row)
+                        .unwrap();
+                    let (out_w, cost_w) = p_warm
+                        .query(&mut e_warm, design, SRC, DST, inputs, RowId(0), dst_row)
+                        .unwrap();
+                    let (out_o, cost_o) = p_oracle
+                        .query(&mut e_oracle, design, SRC, DST, inputs, RowId(0), dst_row)
+                        .unwrap();
+                    prop_assert_eq!(&out_o, &lut.apply_all(inputs).unwrap(), "semantics {label}");
                     for (who, out, cost, e) in [
                         ("recorder", &out_r, cost_r, &mut e_rec),
                         ("warm", &out_w, cost_w, &mut e_warm),
@@ -147,14 +158,9 @@ fn warm_plan_replay_is_bit_identical_to_the_issuing_oracle() {
                             "energy {who}#{step} {label}"
                         );
                         prop_assert_eq!(e.stats(), e_oracle.stats(), "stats {who}#{step} {label}");
-                        let dst = RowLoc {
-                            bank: placement.bank,
-                            subarray: placement.dest,
-                            row: dst_row,
-                        };
                         prop_assert_eq!(
-                            e.peek_row(dst).unwrap(),
-                            e_oracle.peek_row(dst).unwrap(),
+                            e.peek_row(dst_loc(dst_row)).unwrap(),
+                            e_oracle.peek_row(dst_loc(dst_row)).unwrap(),
                             "destination row {who}#{step} {label}"
                         );
                     }
@@ -182,47 +188,24 @@ fn interleaved_luts_replay_their_own_plans() {
             let mut e_plan = engine(MemoryKind::Ddr4, 1.0);
             let mut e_oracle = engine(MemoryKind::Ddr4, 1.0);
             // Two stores side by side: A at subarray 2, B at subarray 4.
-            let (mut sa_p, pa) = setup(&mut e_plan, lut_a.clone());
-            let (mut sa_o, _) = setup(&mut e_oracle, lut_a.clone());
-            let base_b = e_plan.config().rows_per_subarray - lut_b.len() as u16;
-            let mut sb_p = LutStore::load(
-                &mut e_plan,
-                lut_b.clone(),
-                BankId(0),
-                SubarrayId(4),
-                SubarrayId(3),
-                base_b,
-            )
-            .unwrap();
-            let mut sb_o = LutStore::load(
-                &mut e_oracle,
-                lut_b.clone(),
-                BankId(0),
-                SubarrayId(4),
-                SubarrayId(3),
-                base_b,
-            )
-            .unwrap();
-            let pb = QueryPlacement::adjacent(BankId(0), SubarrayId(4));
+            let mut pa_p = setup(&mut e_plan, lut_a.clone(), 2);
+            let mut pa_o = oracle(&mut e_oracle, lut_a.clone(), 2);
+            let mut pb_p = setup(&mut e_plan, lut_b.clone(), 4);
+            let mut pb_o = oracle(&mut e_oracle, lut_b.clone(), 4);
             let ins_a: Vec<u64> = g.vec(1, 4, |g| g.range(0..lut_a.len() as u64));
             let ins_b: Vec<u64> = g.vec(1, 4, |g| g.range(0..lut_b.len() as u64));
 
             for round in 0..3 {
-                for (which, store_p, store_o, placement, inputs) in [
-                    ("A", &mut sa_p, &mut sa_o, pa, &ins_a),
-                    ("B", &mut sb_p, &mut sb_o, pb, &ins_b),
+                for (which, part_p, part_o, inputs) in [
+                    ("A", &mut pa_p, &mut pa_o, &ins_a),
+                    ("B", &mut pb_p, &mut pb_o, &ins_b),
                 ] {
-                    let (out_p, cost_p) = {
-                        let mut ex = QueryExecutor::new(&mut e_plan, design);
-                        ex.execute(store_p, placement, inputs, RowId(0), RowId(1))
-                            .unwrap()
-                    };
-                    let (out_o, cost_o) = {
-                        let mut ex = QueryExecutor::new(&mut e_oracle, design);
-                        ex.set_use_plans(false);
-                        ex.execute(store_o, placement, inputs, RowId(0), RowId(1))
-                            .unwrap()
-                    };
+                    let (out_p, cost_p) = part_p
+                        .query(&mut e_plan, design, SRC, DST, inputs, RowId(0), RowId(1))
+                        .unwrap();
+                    let (out_o, cost_o) = part_o
+                        .query(&mut e_oracle, design, SRC, DST, inputs, RowId(0), RowId(1))
+                        .unwrap();
                     let label = format!("{design}/{which}#{round}");
                     prop_assert_eq!(&out_p, &out_o, "outputs {label}");
                     prop_assert_eq!(cost_p, cost_o, "cost {label}");
@@ -369,6 +352,7 @@ fn rewind_drops_the_act_issued_exactly_at_the_mark() {
 fn non_replayable_contexts_fall_back_to_full_issuance() {
     let lut = Lut::from_fn("plan-fallback-probe", 5, 9, |x| (x * 7) & 0x1ff).unwrap();
     let inputs: Vec<u64> = vec![3, 17, 30, 8];
+    let gmc = DesignKind::Gmc;
 
     // Gate 1: command tracing. A traced engine must issue (the replayed
     // delta has no command stream to append), and its trace must match
@@ -376,21 +360,16 @@ fn non_replayable_contexts_fall_back_to_full_issuance() {
     let before = plan::plan_stats();
     let mut e_traced = engine(MemoryKind::Ddr4, 1.0);
     e_traced.enable_trace();
-    let (mut store_t, placement) = setup(&mut e_traced, lut.clone());
-    let (out_t, cost_t) = {
-        let mut ex = QueryExecutor::new(&mut e_traced, DesignKind::Gmc);
-        ex.execute(&mut store_t, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut p_traced = setup(&mut e_traced, lut.clone(), 2);
+    let (out_t, cost_t) = p_traced
+        .query(&mut e_traced, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     let mut e_oracle = engine(MemoryKind::Ddr4, 1.0);
     e_oracle.enable_trace();
-    let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
-    let (out_o, cost_o) = {
-        let mut ex = QueryExecutor::new(&mut e_oracle, DesignKind::Gmc);
-        ex.set_use_plans(false);
-        ex.execute(&mut store_o, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut p_oracle = oracle(&mut e_oracle, lut.clone(), 2);
+    let (out_o, cost_o) = p_oracle
+        .query(&mut e_oracle, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_t, out_o, "traced outputs");
     assert_eq!(cost_t, cost_o, "traced cost");
     assert_eq!(e_traced.take_trace(), e_oracle.take_trace(), "traces");
@@ -417,31 +396,24 @@ fn non_replayable_contexts_fall_back_to_full_issuance() {
         e.precharge(probe.bank, probe.subarray).unwrap();
     };
     let mut e_rec = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_r, placement) = setup(&mut e_rec, lut.clone());
+    let mut p_rec = setup(&mut e_rec, lut.clone(), 2);
     warm_clock(&mut e_rec);
-    let (out_r, _) = {
-        let mut ex = QueryExecutor::new(&mut e_rec, DesignKind::Gmc);
-        ex.execute(&mut store_r, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let (out_r, _) = p_rec
+        .query(&mut e_rec, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_r, lut.apply_all(&inputs).unwrap());
 
     let before = plan::plan_stats();
     let mut e_cold = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_c, _) = setup(&mut e_cold, lut.clone());
-    let (out_c, cost_c) = {
-        let mut ex = QueryExecutor::new(&mut e_cold, DesignKind::Gmc);
-        ex.execute(&mut store_c, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut p_cold = setup(&mut e_cold, lut.clone(), 2);
+    let (out_c, cost_c) = p_cold
+        .query(&mut e_cold, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     let mut e_oracle = engine(MemoryKind::Ddr4, 40.0);
-    let (mut store_o, _) = setup(&mut e_oracle, lut.clone());
-    let (out_o, cost_o) = {
-        let mut ex = QueryExecutor::new(&mut e_oracle, DesignKind::Gmc);
-        ex.set_use_plans(false);
-        ex.execute(&mut store_o, placement, &inputs, RowId(0), RowId(1))
-            .unwrap()
-    };
+    let mut p_oracle = oracle(&mut e_oracle, lut.clone(), 2);
+    let (out_o, cost_o) = p_oracle
+        .query(&mut e_oracle, gmc, SRC, DST, &inputs, RowId(0), RowId(1))
+        .unwrap();
     assert_eq!(out_c, out_o, "mismatch outputs");
     assert_eq!(cost_c, cost_o, "mismatch cost");
     assert_eq!(e_cold.elapsed(), e_oracle.elapsed(), "mismatch clock");
