@@ -66,4 +66,7 @@ cargo run --release --quiet --example serve -- --qnn --workers 4
 echo "==> Bench harness smoke (writes BENCH_simulator.json and BENCH_session.json)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench simulator --bench session
 
+echo "==> Repository benchmark smoke (perfbench builds against the public API; every op validates; dram.* repeat bit-for-bit)"
+python3 perfbench/check_sim.py --seed 1 --seconds 1
+
 echo "==> CI green"

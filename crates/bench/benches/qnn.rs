@@ -32,6 +32,7 @@
 //!   latency merge is max-over-lanes — a regression to serial segment
 //!   sweeps would show up as ~32×).
 
+use pluto_core::plan::plan_stats;
 use pluto_core::session::{ExecConfig, Session};
 use pluto_core::DesignKind;
 use pluto_qnn::gemv::{GemvPath, QuantLinear};
@@ -172,11 +173,11 @@ fn guard() {
     model
         .forward_on(session.machine_mut(), &x, GemvPath::Direct)
         .unwrap();
-    let cold = session.plan_stats();
+    let cold = plan_stats();
     model
         .forward_on(session.machine_mut(), &x, GemvPath::Direct)
         .unwrap();
-    let warm = session.plan_stats();
+    let warm = plan_stats();
     let hits = warm.hits - cold.hits;
     assert!(
         hits > 0,

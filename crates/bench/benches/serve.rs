@@ -34,6 +34,7 @@
 
 use pluto_baselines::WorkloadId;
 use pluto_core::lut::Lut;
+use pluto_core::plan::plan_stats;
 use pluto_core::serve::{QuerySpec, Server};
 use pluto_core::session::ExecConfig;
 use pluto_core::DesignKind;
@@ -204,7 +205,7 @@ fn bench_latency(c: &mut Criterion) {
     // Guard 3: compiled-plan cache live on the serve path. The measured
     // traffic repeats two plan shapes dozens of times, so the workers'
     // warm queries must be replaying memoized tapes, not re-simulating.
-    let plans = server.plan_stats();
+    let plans = plan_stats();
     c.summary_ns("plan/hits_count", plans.hits as f64);
     assert!(
         plans.hits > 0,

@@ -251,10 +251,7 @@ pub fn cluster() -> Cluster {
 
 /// pLUTo wall-clock seconds for a workload volume under one configuration.
 pub fn pluto_wall_secs(id: WorkloadId, cfg: PlutoConfig, cost: &PlutoCost) -> f64 {
-    let timing = match cfg.kind {
-        MemoryKind::Ddr4 => pluto_dram::TimingParams::ddr4_2400(),
-        MemoryKind::Stacked3d => pluto_dram::TimingParams::hmc_3ds(),
-    };
+    let timing = pluto_dram::TimingParams::for_kind(cfg.kind);
     runner::scaled_wall_time(cost, volume_bytes(id), cfg.subarrays(), 0.0, &timing)
 }
 

@@ -76,9 +76,9 @@
 
 use crate::deque::{Pop, StealDeques};
 use crate::error::PlutoError;
-use crate::session::{ConfigKey, CostReport, ExecConfig, Session, Workload};
+use crate::session::{CostReport, ExecConfig, Session, Workload};
 use sim_support::{SeedableRng, StdRng};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
@@ -198,13 +198,6 @@ impl Cluster {
     /// whether or not any steal happened.
     pub fn steals(&self) -> u64 {
         self.deques.steal_count()
-    }
-
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]). The
-    /// cache is process-wide, so every pooled worker shares one set of
-    /// recorded plans — a tape recorded on one lane replays on all.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
     }
 
     /// Queues one workload to run whole (a single shard) under `config`.
@@ -388,7 +381,7 @@ fn worker_main(deques: &StealDeques<Job>, lane: usize, results: &mpsc::Sender<Sh
     // machine in place between runs, so repeat configurations never pay
     // machine construction again. Batch shards and serve batches share
     // the pool.
-    let mut pool: HashMap<ConfigKey, Session> = HashMap::new();
+    let mut pool: HashMap<ExecConfig, Session> = HashMap::new();
     loop {
         let job = match deques.pop(lane) {
             Pop::Item { item, .. } => item,
@@ -443,7 +436,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn run_shard(
-    pool: &mut HashMap<ConfigKey, Session>,
+    pool: &mut HashMap<ExecConfig, Session>,
     config: ExecConfig,
     mut workload: Box<dyn Workload>,
 ) -> Result<CostReport, PlutoError> {
@@ -456,12 +449,24 @@ fn run_shard(
     // applies the same widening either way.
     let mut effective = config;
     effective.subarrays_per_bank = effective.subarrays_per_bank.max(workload.min_subarrays());
-    let session = match pool.entry(ConfigKey::of(&effective)) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => v.insert(Session::with_config(effective)?),
+    run_pooled(pool, &effective, workload.as_mut())
+}
+
+/// Runs `workload` on the worker's pooled [`Session`] for `config`
+/// (built on first use) — the one pool lookup batch shards and serve
+/// queries share. `config` must already be effective, so repeat
+/// geometries take [`Session::run`]'s cheap reset path.
+pub(crate) fn run_pooled(
+    pool: &mut HashMap<ExecConfig, Session>,
+    config: &ExecConfig,
+    workload: &mut dyn Workload,
+) -> Result<CostReport, PlutoError> {
+    let session = match pool.entry(config.clone()) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(v) => v.insert(Session::with_config(config.clone())?),
     };
-    let report = session.run(workload.as_mut())?;
-    // Keep pooled sessions lean: the cluster, not the session, owns
+    let report = session.run(workload)?;
+    // Keep pooled sessions lean: the caller, not the session, owns
     // result aggregation (and `clear_reports` keeps the allocation).
     session.clear_reports();
     Ok(report)

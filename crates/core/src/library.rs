@@ -63,7 +63,9 @@ pub struct PlutoMachine {
     backend: TimingBackend,
     totals: AggregateCost,
     engine: Engine,
-    stores: HashMap<String, PartitionedLut>,
+    /// Resident stores keyed by the full LUT (name, shape and elements),
+    /// so a different table reusing a name claims its own subarrays.
+    stores: HashMap<Lut, PartitionedLut>,
     /// Query-path scratch buffers, reused across every `apply` chunk so
     /// operation streams stop reallocating per query. Pure buffers — no
     /// state survives a query, so reuse cannot perturb results.
@@ -171,12 +173,12 @@ impl PlutoMachine {
     /// # Errors
     /// Fails if the subarray pool cannot hold the store.
     pub fn preload(&mut self, lut: &Lut) -> Result<u16, PlutoError> {
-        let key = self.store_for(lut)?;
-        Ok(self.stores[&key].subarrays_claimed())
+        self.ensure_resident(lut)?;
+        Ok(self.stores[lut].subarrays_claimed())
     }
 
     /// Number of distinct LUT stores currently resident on the machine
-    /// (variant keys for same-name/different-table LUTs count separately).
+    /// (same-name tables with different contents count separately).
     pub fn resident_luts(&self) -> usize {
         self.stores.len()
     }
@@ -224,39 +226,22 @@ impl PlutoMachine {
         })
     }
 
-    /// Returns (creating on first use) the persistent [`PartitionedLut`]
-    /// for a LUT on the fast path. Stores claim one (pLUTo, master)
-    /// subarray pair per §5.6 segment, starting at subarray 1 — one pair
-    /// for a LUT that fits a subarray.
-    ///
-    /// Cache identity is the *full LUT* — name and shape pick the key,
-    /// but a hit is only served after the stored table compares equal
-    /// (same witness rule as the packed-row cache in [`crate::store`]);
-    /// a different table reusing a name deterministically claims its own
-    /// variant key and subarrays instead of aliasing.
-    fn store_for(&mut self, lut: &Lut) -> Result<String, PlutoError> {
-        let base = format!("{}#{}x{}", lut.name(), lut.input_bits(), lut.output_bits());
-        let mut key = base.clone();
-        let mut variant = 0usize;
-        loop {
-            match self.stores.get(&key) {
-                Some(existing) if existing.lut() == lut => return Ok(key),
-                Some(_) => {
-                    variant += 1;
-                    key = format!("{base}#v{variant}");
-                }
-                None => break,
-            }
+    /// Loads (on first use) the persistent [`PartitionedLut`] for a LUT
+    /// on the fast path. Stores claim one (pLUTo, master) subarray pair
+    /// per §5.6 segment, starting at subarray 1 — one pair for a LUT that
+    /// fits a subarray.
+    fn ensure_resident(&mut self, lut: &Lut) -> Result<(), PlutoError> {
+        if !self.stores.contains_key(lut) {
+            let store = PartitionedLut::load(
+                &mut self.engine,
+                lut.clone(),
+                self.bank,
+                SubarrayId(self.next_pluto),
+            )?;
+            self.next_pluto += store.subarrays_claimed();
+            self.stores.insert(lut.clone(), store);
         }
-        let store = PartitionedLut::load(
-            &mut self.engine,
-            lut.clone(),
-            self.bank,
-            SubarrayId(self.next_pluto),
-        )?;
-        self.next_pluto += store.subarrays_claimed();
-        self.stores.insert(key.clone(), store);
-        Ok(key)
+        Ok(())
     }
 
     /// Charges the §6.3 operand-alignment sequence for one merged input
@@ -296,31 +281,26 @@ impl PlutoMachine {
     /// Fails if inputs exceed the LUT's index range or the subarray pool is
     /// exhausted.
     pub fn apply(&mut self, lut: &Lut, inputs: &[u64]) -> Result<MapResult, PlutoError> {
-        let key = self.store_for(lut)?;
+        self.ensure_resident(lut)?;
         let capacity = slots_per_row(self.cfg.row_bytes, lut.slot_bits());
         let clock0 = self.engine.elapsed();
         let energy0 = self.engine.command_energy();
         let stats0 = self.engine.stats();
         let mut values = Vec::with_capacity(inputs.len());
-        let mut store = self.stores.remove(&key).expect("store cached above");
-        let result: Result<(), PlutoError> = (|| {
-            for chunk in inputs.chunks(capacity.max(1)) {
-                store.query_with(
-                    &mut self.engine,
-                    self.design,
-                    self.data_sa,
-                    self.data_sa,
-                    chunk,
-                    RowId(0),
-                    RowId(1),
-                    &mut self.scratch,
-                )?;
-                values.extend_from_slice(self.scratch.outputs());
-            }
-            Ok(())
-        })();
-        self.stores.insert(key, store);
-        result?;
+        let store = self.stores.get_mut(lut).expect("made resident above");
+        for chunk in inputs.chunks(capacity.max(1)) {
+            store.query_with(
+                &mut self.engine,
+                self.design,
+                self.data_sa,
+                self.data_sa,
+                chunk,
+                RowId(0),
+                RowId(1),
+                &mut self.scratch,
+            )?;
+            values.extend_from_slice(self.scratch.outputs());
+        }
         let time = self.engine.elapsed() - clock0;
         let energy = self.engine.command_energy() - energy0;
         self.totals.calls += 1;

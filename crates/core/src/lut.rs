@@ -14,6 +14,7 @@
 
 use crate::error::PlutoError;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A lookup table: up to `2^input_bits` elements of `output_bits` bits
@@ -44,19 +45,34 @@ impl fmt::Debug for Lut {
     }
 }
 
+/// A LUT's identity is its name, widths, slot floor and every element:
+/// the machine's store map and the packed-row cache key on the `Lut`
+/// itself, so two tables sharing a name never alias a resident store.
 impl PartialEq for Lut {
     fn eq(&self, other: &Self) -> bool {
         self.input_bits == other.input_bits
             && self.output_bits == other.output_bits
             && self.min_slot_bits == other.min_slot_bits
+            && self.name == other.name
             // Pointer fast path: clones share one table, so the common
-            // same-LUT comparison (store-cache witness checks) skips the
-            // element scan.
+            // same-LUT lookup skips the element scan.
             && (Arc::ptr_eq(&self.elements, &other.elements) || self.elements == other.elements)
     }
 }
 
 impl Eq for Lut {}
+
+/// Hashes the cheap part of the identity (name, widths, slot floor,
+/// length); equal hashes fall through to [`PartialEq`]'s element compare.
+impl Hash for Lut {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.input_bits.hash(state);
+        self.output_bits.hash(state);
+        self.min_slot_bits.hash(state);
+        self.elements.len().hash(state);
+    }
+}
 
 impl Lut {
     /// Builds a LUT by tabulating `f` over all `2^input_bits` indices.
@@ -228,12 +244,6 @@ impl Lut {
 
     /// All elements, in index order.
     pub fn elements(&self) -> &[u64] {
-        &self.elements
-    }
-
-    /// The shared element table (cheap to clone; used as the identity
-    /// witness by the packed-row cache in [`crate::store`]).
-    pub(crate) fn elements_shared(&self) -> &Arc<Vec<u64>> {
         &self.elements
     }
 
@@ -815,5 +825,29 @@ mod tests {
         assert_eq!(a, b);
         let c = catalog::mul(4).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn hash_set_identity_is_name_shape_and_contents() {
+        use std::collections::HashSet;
+        let base = Lut::from_fn("tone", 8, 8, |x| x).unwrap();
+        let mut set = HashSet::new();
+        assert!(set.insert(base.clone()));
+        // A clone and an equal table rebuilt from scratch are one entry.
+        assert!(!set.insert(base.clone()));
+        assert!(!set.insert(Lut::from_fn("tone", 8, 8, |x| x).unwrap()));
+        assert_eq!(set.len(), 1);
+        // Each identity field on its own opens a new entry.
+        let renamed = Lut::from_fn("tone2", 8, 8, |x| x).unwrap();
+        let one_element = Lut::from_fn("tone", 8, 8, |x| if x == 200 { 7 } else { x }).unwrap();
+        let wider_output = Lut::from_fn("tone", 8, 9, |x| x).unwrap();
+        let slot_floor = base.clone().with_min_slot_bits(12);
+        for (i, lut) in [renamed, one_element, wider_output, slot_floor]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(set.insert(lut), "variant {i} aliased an existing entry");
+        }
+        assert_eq!(set.len(), 5);
     }
 }

@@ -909,7 +909,7 @@ mod tests {
         assert_eq!(part.subarrays_claimed(), 2);
         let seg = part.segments()[0].lut();
         assert_eq!(seg.name(), "id4");
-        assert!(Arc::ptr_eq(seg.elements_shared(), lut.elements_shared()));
+        assert!(std::ptr::eq(seg.elements(), lut.elements()));
     }
 
     #[test]

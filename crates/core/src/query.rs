@@ -42,14 +42,6 @@ use crate::lut::{
 use crate::match_logic;
 use crate::store::LutStore;
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread scratch backing the owned-output entry points
-    /// ([`QueryExecutor::execute`] / [`QueryExecutor::execute_resident`]),
-    /// so one-shot callers stop paying fresh buffer allocations per query.
-    static LOCAL_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
-}
 
 /// Where the three subarrays participating in a query live (paper Fig. 2:
 /// source subarray, pLUTo-enabled subarray, destination subarray).
@@ -190,14 +182,9 @@ impl<'e> QueryExecutor<'e> {
         src_row: RowId,
         dst_row: RowId,
     ) -> Result<(Vec<u64>, QueryCost), PlutoError> {
-        LOCAL_SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            let cost =
-                self.execute_with(store, placement, inputs, src_row, dst_row, &mut scratch)?;
-            // The output vector is returned owned; the packing/unpacking
-            // buffers stay in the thread-local scratch for the next call.
-            Ok((std::mem::take(&mut scratch.out), cost))
-        })
+        let mut scratch = QueryScratch::new();
+        let cost = self.execute_with(store, placement, inputs, src_row, dst_row, &mut scratch)?;
+        Ok((scratch.out, cost))
     }
 
     /// [`QueryExecutor::execute`] with caller-owned scratch buffers: the
@@ -254,35 +241,9 @@ impl<'e> QueryExecutor<'e> {
 
     /// Executes a bulk LUT query whose input vector is *already resident*
     /// in `src_row` of the source subarray (e.g. produced by a previous
-    /// pLUTo instruction). `num_slots` slots of the LUT's slot width are
-    /// interpreted as indices.
-    ///
-    /// # Errors
-    /// Same conditions as [`QueryExecutor::execute`].
-    pub fn execute_resident(
-        &mut self,
-        store: &mut LutStore,
-        placement: QueryPlacement,
-        src_row: RowId,
-        dst_row: RowId,
-        num_slots: usize,
-    ) -> Result<(Vec<u64>, QueryCost), PlutoError> {
-        LOCAL_SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            let cost = self.execute_resident_with(
-                store,
-                placement,
-                src_row,
-                dst_row,
-                num_slots,
-                &mut scratch,
-            )?;
-            Ok((std::mem::take(&mut scratch.out), cost))
-        })
-    }
-
-    /// [`QueryExecutor::execute_resident`] with caller-owned scratch
-    /// buffers (see [`QueryExecutor::execute_with`]).
+    /// pLUTo instruction), with caller-owned scratch buffers (see
+    /// [`QueryExecutor::execute_with`]). `num_slots` slots of the LUT's
+    /// slot width are interpreted as indices.
     ///
     /// # Errors
     /// Same conditions as [`QueryExecutor::execute`].
@@ -533,11 +494,6 @@ impl<'e> QueryExecutor<'e> {
     }
 }
 
-/// Convenience: slot capacity of one row for a LUT of the given widths.
-pub fn query_capacity(row_bytes: usize, input_bits: u32, output_bits: u32) -> usize {
-    slots_per_row(row_bytes, input_bits.max(output_bits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,12 +742,5 @@ mod tests {
             e.energy_model().clone(),
         );
         assert_eq!(cost.sweep, model.sweep_latency(16));
-    }
-
-    #[test]
-    fn query_capacity_helper() {
-        assert_eq!(query_capacity(8192, 8, 8), 8192);
-        assert_eq!(query_capacity(8192, 4, 8), 8192);
-        assert_eq!(query_capacity(8192, 4, 4), 16384);
     }
 }

@@ -20,10 +20,11 @@
 //!    [`Ticket::wait`] (or holds a bag of tickets and waits for each in
 //!    arrival order).
 //! 2. **Affinity coalescing.** Queries are grouped into shard-sized
-//!    batches keyed by `(effective ExecConfig, LUT identity)` — the
-//!    same key the cluster workers pool their [`Session`]s under, so
-//!    every query of a batch lands on a machine already sized and reset
-//!    for it, and repeat LUTs hit the process-wide packed-row cache
+//!    batches keyed by the effective [`ExecConfig`] and the [`Lut`]
+//!    itself (name, shape and elements) — the config is the same key the
+//!    cluster workers pool their [`Session`]s under, so every query of a
+//!    batch lands on a machine already sized and reset for it, and
+//!    repeat LUTs hit the process-wide packed-row cache
 //!    ([`crate::store`]). A batch flushes when it reaches
 //!    [`ServeConfig::batch_slots`] entries or on [`Server::flush`] /
 //!    [`Server::drain`].
@@ -74,10 +75,10 @@
 //! # }
 //! ```
 
-use crate::cluster::{default_workers, panic_message, Cluster};
+use crate::cluster::{default_workers, panic_message, run_pooled, Cluster};
 use crate::error::PlutoError;
 use crate::lut::Lut;
-use crate::session::{encode_words, ConfigKey, CostReport, ExecConfig, Session, Workload};
+use crate::session::{encode_words, CostReport, ExecConfig, Session, Workload};
 use sim_support::StdRng;
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -86,10 +87,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 ///
 /// The LUT is shared by `Arc` so that thousands of queries against one
 /// registry LUT (the serving steady state) carry a pointer, not a table
-/// copy; affinity batching keys on the LUT's identity
-/// (name/width/length) and joins a filling batch only when its table is
-/// the same, so clones of one logical LUT coalesce together while a
-/// different table reusing a name opens its own batch.
+/// copy; affinity batching keys on the LUT itself, so clones (and equal
+/// rebuilds) of one logical LUT coalesce together while a different
+/// table reusing a name opens its own affinity class.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     /// Execution configuration (design, memory kind, geometry, seed).
@@ -197,7 +197,7 @@ pub struct ServeStats {
     pub full_batches: u64,
     /// Largest batch occupancy dispatched so far.
     pub max_batch: usize,
-    /// Distinct affinity classes seen (config × LUT identity).
+    /// Distinct affinity classes seen (effective config × LUT table).
     pub affinities: usize,
 }
 
@@ -266,12 +266,7 @@ struct ServeEntry {
 /// effective configuration and LUT, so the executing worker runs the
 /// whole batch on one pooled session.
 pub(crate) struct ServeBatch {
-    /// Effective configuration: the submitted one with its subarray
-    /// floor already raised to the LUT's demand, so pooling keys match
-    /// what [`Session::run`] sizes the machine to.
-    config: ExecConfig,
-    lut: Arc<Lut>,
-    min_subarrays: u16,
+    key: AffinityKey,
     entries: Vec<ServeEntry>,
     /// Accounting guard; dropping the batch (normally, on panic, or
     /// discarded by shutdown) releases its queries from `drain`.
@@ -279,26 +274,16 @@ pub(crate) struct ServeBatch {
 }
 
 /// Identity of an affinity class: queries whose batches may share a
-/// pooled session and packed LUT rows.
+/// pooled session and packed LUT rows. `Arc<Lut>` compares by pointer
+/// first, then by the table ([`Lut`]'s `Eq`), so equal tables share a
+/// class and same-name tables with other contents never do.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct AffinityKey {
-    config: ConfigKey,
-    lut_name: String,
-    lut_input_bits: u32,
-    lut_output_bits: u32,
-    lut_len: usize,
-}
-
-impl AffinityKey {
-    fn of(effective: &ExecConfig, lut: &Lut) -> Self {
-        AffinityKey {
-            config: ConfigKey::of(effective),
-            lut_name: lut.name().to_string(),
-            lut_input_bits: lut.input_bits(),
-            lut_output_bits: lut.output_bits(),
-            lut_len: lut.len(),
-        }
-    }
+    /// Effective configuration: the submitted one with its subarray
+    /// floor already raised to the LUT's demand ([`effective_config`]),
+    /// so pooling keys match what [`Session::run`] sizes the machine to.
+    config: ExecConfig,
+    lut: Arc<Lut>,
 }
 
 /// A batch still filling in the coalescer. Kept in an insertion-ordered
@@ -307,9 +292,6 @@ impl AffinityKey {
 struct PendingBatch {
     key: AffinityKey,
     lane: usize,
-    config: ExecConfig,
-    lut: Arc<Lut>,
-    min_subarrays: u16,
     entries: Vec<ServeEntry>,
 }
 
@@ -381,14 +363,6 @@ impl Server {
         self.outstanding.current()
     }
 
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]). The
-    /// cache is process-wide, so under steady mixed traffic the workers'
-    /// repeat queries show up here as hits regardless of which lane ran
-    /// them.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
-    }
-
     /// Ingestion/batching telemetry so far.
     pub fn stats(&self) -> ServeStats {
         self.stats
@@ -414,43 +388,37 @@ impl Server {
         self.outstanding.add(1);
         let (reply, rx) = mpsc::channel();
 
-        let min_subarrays = min_subarrays_for(&lut, config.rows_per_subarray);
-        let mut effective = config;
-        effective.subarrays_per_bank = effective.subarrays_per_bank.max(min_subarrays);
-        let key = AffinityKey::of(&effective, &lut);
-
-        // Home lane: first appearance of an affinity claims the next
-        // lane round-robin — deterministic for a fixed arrival order.
-        let lane = match self.lanes.get(&key) {
-            Some(&lane) => lane,
-            None => {
-                let lane = self.next_lane;
-                self.next_lane = (self.next_lane + 1) % self.cluster.workers().max(1);
-                self.lanes.insert(key.clone(), lane);
-                self.stats.affinities = self.lanes.len();
-                lane
-            }
+        let key = AffinityKey {
+            config: effective_config(config, &lut),
+            lut,
         };
-
         let entry = ServeEntry { seq, inputs, reply };
-        // A batch runs every entry on its own `lut`, so joining one takes
-        // the same table, not just the same key (the witness rule of
-        // `PlutoMachine::store_for` and the packed-row cache).
-        let same_table = |b: &PendingBatch| Arc::ptr_eq(&b.lut, &lut) || *b.lut == *lut;
-        match self
-            .pending
-            .iter_mut()
-            .find(|b| b.key == key && same_table(b))
-        {
+        match self.pending.iter_mut().find(|b| b.key == key) {
             Some(batch) => batch.entries.push(entry),
-            None => self.pending.push(PendingBatch {
-                key,
-                lane,
-                config: effective,
-                lut,
-                min_subarrays,
-                entries: vec![entry],
-            }),
+            None => {
+                // Home lane: first appearance of an affinity claims the
+                // next lane round-robin — deterministic for a fixed
+                // arrival order. A filling batch already carries its
+                // class's lane, so only a new batch looks it up. A table
+                // rebuilt equal to the class's runs as the class's own
+                // `Arc`, so the worker's packed-row lookup matches the
+                // entry the class's first load cached by pointer.
+                let (key, lane) = match self.lanes.get_key_value(&key) {
+                    Some((class, &lane)) => (class.clone(), lane),
+                    None => {
+                        let lane = self.next_lane;
+                        self.next_lane = (self.next_lane + 1) % self.cluster.workers().max(1);
+                        self.lanes.insert(key.clone(), lane);
+                        self.stats.affinities = self.lanes.len();
+                        (key, lane)
+                    }
+                };
+                self.pending.push(PendingBatch {
+                    key,
+                    lane,
+                    entries: vec![entry],
+                });
+            }
         }
         // Auto-flush any batch that just filled (only the touched one
         // can have).
@@ -476,30 +444,15 @@ impl Server {
     }
 
     fn dispatch(&mut self, batch: PendingBatch) {
-        let PendingBatch {
-            lane,
-            config,
-            lut,
-            min_subarrays,
-            entries,
-            ..
-        } = batch;
+        let PendingBatch { key, lane, entries } = batch;
         self.stats.batches += 1;
         self.stats.max_batch = self.stats.max_batch.max(entries.len());
         let done = DoneGuard {
             outstanding: Arc::clone(&self.outstanding),
             queries: entries.len() as u64,
         };
-        self.cluster.inject_serve(
-            lane,
-            ServeBatch {
-                config,
-                lut,
-                min_subarrays,
-                entries,
-                done,
-            },
-        );
+        self.cluster
+            .inject_serve(lane, ServeBatch { key, entries, done });
     }
 
     /// Graceful drain: flushes every filling batch, then blocks until
@@ -535,14 +488,25 @@ fn min_subarrays_for(lut: &Lut, rows_per_subarray: u16) -> u16 {
     u16::try_from(demand).unwrap_or(u16::MAX).max(16)
 }
 
+/// `config` with its subarray floor raised to what a standalone query
+/// against `lut` needs ([`min_subarrays_for`]) — the configuration both
+/// [`Server::enqueue`] and [`serial_oracle`] run a query under.
+fn effective_config(mut config: ExecConfig, lut: &Lut) -> ExecConfig {
+    config.subarrays_per_bank = config
+        .subarrays_per_bank
+        .max(min_subarrays_for(lut, config.rows_per_subarray));
+    config
+}
+
 /// The serve path's unit of execution: one query run as a [`Workload`]
 /// so that [`Session::run`] gives it the full measurement protocol —
 /// pristine machine, reference validation, costed report — and therefore
-/// bit-identity with any other execution of the same spec.
+/// bit-identity with any other execution of the same spec. It always
+/// runs under an [`effective_config`], which already holds the LUT's
+/// subarray demand, so it keeps the default [`Workload::min_subarrays`].
 struct QueryWorkload {
     lut: Arc<Lut>,
     inputs: Vec<u64>,
-    min_subarrays: u16,
     /// Output words captured during `run_pluto` for the reply.
     out: Vec<u64>,
 }
@@ -582,10 +546,6 @@ impl Workload for QueryWorkload {
     fn input_bytes(&self) -> f64 {
         self.inputs.len() as f64 * f64::from(self.lut.input_bits()) / 8.0
     }
-
-    fn min_subarrays(&self) -> u16 {
-        self.min_subarrays
-    }
 }
 
 /// Runs one query exactly as a worker would, but serially on a fresh
@@ -597,11 +557,10 @@ impl Workload for QueryWorkload {
 /// Whatever the query itself fails with (construction, layout, index
 /// range).
 pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoError> {
-    let mut session = Session::with_config(spec.config.clone())?;
+    let mut session = Session::with_config(effective_config(spec.config.clone(), &spec.lut))?;
     let mut workload = QueryWorkload {
         lut: Arc::clone(&spec.lut),
         inputs: spec.inputs.clone(),
-        min_subarrays: min_subarrays_for(&spec.lut, spec.config.rows_per_subarray),
         out: Vec::new(),
     };
     let report = session.run(&mut workload)?;
@@ -613,11 +572,9 @@ pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoEr
 /// order; a per-entry panic resolves that entry's ticket with
 /// [`PlutoError::WorkerPanic`] and drops the (possibly torn) pooled
 /// sessions, leaving the rest of the batch to run on rebuilt machines.
-pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: ServeBatch) {
+pub(crate) fn execute_batch(pool: &mut HashMap<ExecConfig, Session>, batch: ServeBatch) {
     let ServeBatch {
-        config,
-        lut,
-        min_subarrays,
+        key: AffinityKey { config, lut },
         entries,
         done,
     } = batch;
@@ -627,14 +584,13 @@ pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: Serve
     let mut workload = QueryWorkload {
         lut,
         inputs: Vec::new(),
-        min_subarrays,
         out: Vec::new(),
     };
     for entry in entries {
         let ServeEntry { seq, inputs, reply } = entry;
         workload.inputs = inputs;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_query(pool, &config, &mut workload)
+            run_pooled(pool, &config, &mut workload)
         }))
         .unwrap_or_else(|payload| {
             pool.clear();
@@ -644,32 +600,13 @@ pub(crate) fn execute_batch(pool: &mut HashMap<ConfigKey, Session>, batch: Serve
         });
         // A dropped ticket (caller gave up) is fine; everyone else gets
         // their reply before the done-guard releases the drain barrier.
-        let _ = reply.send(outcome.map(|(values, report)| QueryReply {
+        let _ = reply.send(outcome.map(|report| QueryReply {
             seq,
-            values,
+            values: std::mem::take(&mut workload.out),
             report,
         }));
     }
     drop(done);
-}
-
-fn run_query(
-    pool: &mut HashMap<ConfigKey, Session>,
-    config: &ExecConfig,
-    workload: &mut QueryWorkload,
-) -> Result<(Vec<u64>, CostReport), PlutoError> {
-    // `config` is already effective (subarray floor raised at enqueue),
-    // so this key matches the batch path's pooling and `Session::run`
-    // takes the cheap reset branch on repeat geometries.
-    let session = match pool.entry(ConfigKey::of(config)) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(Session::with_config(config.clone())?)
-        }
-    };
-    let report = session.run(workload)?;
-    session.clear_reports();
-    Ok((std::mem::take(&mut workload.out), report))
 }
 
 #[cfg(test)]
@@ -772,8 +709,8 @@ mod tests {
 
     #[test]
     fn same_key_different_tables_never_share_a_batch() {
-        // Two 8→8-bit tables both named `tone` share an affinity key; each
-        // reply must still come from its own table.
+        // Two 8→8-bit tables both named `tone` share a name; each reply
+        // must still come from its own table.
         let up = Arc::new(Lut::from_fn("tone", 8, 8, |x| x).unwrap());
         let down = Arc::new(Lut::from_fn("tone", 8, 8, |x| 255 - x).unwrap());
         let specs: Vec<QuerySpec> = [&up, &down, &up]
@@ -794,7 +731,7 @@ mod tests {
             assert_eq!(reply.values, values);
             assert_eq!(reply.report, report);
         }
-        assert_eq!(server.stats().affinities, 1, "one key, two batches");
+        assert_eq!(server.stats().affinities, 2, "one name, two tables");
     }
 
     #[test]

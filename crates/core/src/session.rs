@@ -9,7 +9,8 @@
 //! * [`ExecConfig`] / [`SessionBuilder`] — every knob that used to hide in
 //!   scattered `DramConfig` literals or (worse) a `thread_local!` memory
 //!   kind is an explicit value: design, memory kind, geometry, row width,
-//!   SALP degree, tFAW scale, data seed.
+//!   data seed, timing backend. The config is `Eq + Hash`, so pools key
+//!   on it directly.
 //! * [`Session`] — owns a [`PlutoMachine`], runs [`Workload`]s one at a
 //!   time or batched ([`Session::run_all`]), and accumulates one
 //!   [`CostReport`] per run. A `Session` is an ownable unit of work — the
@@ -93,8 +94,11 @@ pub const fn default_salp(kind: MemoryKind) -> usize {
 ///
 /// Every field that used to be implicit — the memory kind smuggled
 /// through a thread-local, the geometry repeated as `DramConfig` literals
-/// at every call site — is a named value here.
-#[derive(Debug, Clone, PartialEq)]
+/// at every call site — is a named value here. Every field shapes a run
+/// (the machine, or the seed its workload prepares from), so the config
+/// is its own pool key: the cluster's per-worker sessions and the serve
+/// coalescer's affinity classes hash it directly.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExecConfig {
     /// The hardware design (BSA / GSA / GMC).
     pub design: DesignKind,
@@ -111,14 +115,6 @@ pub struct ExecConfig {
     pub subarrays_per_bank: u16,
     /// Rows per subarray.
     pub rows_per_subarray: u16,
-    /// Row size the measured byte volumes are scaled to (the paper's
-    /// 8 KiB DDR4 rows; see [`ExecConfig::row_ratio`]).
-    pub paper_row_bytes: usize,
-    /// Subarray-level parallelism applied by [`Session::wall_secs`].
-    pub salp_subarrays: usize,
-    /// tFAW throttle scale used by [`Session::wall_secs`] (0.0 disables
-    /// the activation-window floor, 1.0 is the nominal chip tFAW).
-    pub t_faw_scale: f64,
     /// Seed of the RNG handed to [`Workload::prepare`].
     pub seed: u64,
     /// Timing backend charging the engine's command costs (`DESIGN.md`
@@ -141,25 +137,21 @@ impl ExecConfig {
             banks: 1,
             subarrays_per_bank: 16,
             rows_per_subarray: 512,
-            paper_row_bytes: PAPER_ROW_BYTES,
-            salp_subarrays: default_salp(MemoryKind::Ddr4),
-            t_faw_scale: 0.0,
             seed: 0,
             timing_backend: TimingBackend::Analytic,
         }
     }
 
     /// The default measurement configuration on an explicit memory kind:
-    /// [`ExecConfig::measurement`] with the kind's timing/energy models
-    /// and Table 3 SALP default. This is the configuration
-    /// `Session::builder(design).memory(kind)` builds — use it for
-    /// cluster submissions that must match a builder-made session
-    /// bit-for-bit.
+    /// [`ExecConfig::measurement`] with the kind's timing/energy models.
+    /// This is the configuration `Session::builder(design).memory(kind)`
+    /// builds — use it for cluster submissions that must match a
+    /// builder-made session bit-for-bit.
     pub fn measurement_on(design: DesignKind, kind: MemoryKind) -> Self {
-        let mut cfg = ExecConfig::measurement(design);
-        cfg.kind = kind;
-        cfg.salp_subarrays = default_salp(kind);
-        cfg
+        ExecConfig {
+            kind,
+            ..ExecConfig::measurement(design)
+        }
     }
 
     /// The DRAM geometry this configuration describes.
@@ -174,91 +166,23 @@ impl ExecConfig {
         }
     }
 
-    /// Timing parameters of the configured memory kind.
-    pub fn timing(&self) -> TimingParams {
-        match self.kind {
-            MemoryKind::Ddr4 => TimingParams::ddr4_2400(),
-            MemoryKind::Stacked3d => TimingParams::hmc_3ds(),
-        }
-    }
-
     /// Scaling factor from measurement rows to paper rows: the paper's
-    /// DDR4 rows are 8 KiB ([`ExecConfig::paper_row_bytes`]); its 3DS
-    /// rows are 256 B — equal to the default measurement rows, so 3DS
-    /// volumes scale by 1 unless the row width is overridden.
+    /// DDR4 rows are 8 KiB ([`PAPER_ROW_BYTES`]); its 3DS rows are 256 B
+    /// — equal to the default measurement rows, so 3DS volumes scale by
+    /// 1 unless the row width is overridden.
     pub fn row_ratio(&self) -> f64 {
         let paper = match self.kind {
-            MemoryKind::Ddr4 => self.paper_row_bytes,
+            MemoryKind::Ddr4 => PAPER_ROW_BYTES,
             MemoryKind::Stacked3d => PAPER_3DS_ROW_BYTES,
         };
         paper as f64 / self.row_bytes as f64
     }
 }
 
-/// Hashable identity of an [`ExecConfig`] for keyed machine/session pools
-/// (`f64` fields keyed by their bit patterns). Both the cluster's
-/// per-worker machine pools and the serve path's affinity coalescer key
-/// on this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct ConfigKey {
-    design: DesignKind,
-    kind: MemoryKind,
-    row_bytes: usize,
-    burst_bytes: usize,
-    banks: u16,
-    subarrays_per_bank: u16,
-    rows_per_subarray: u16,
-    paper_row_bytes: usize,
-    salp_subarrays: usize,
-    t_faw_bits: u64,
-    seed: u64,
-    timing_backend: TimingBackend,
-}
-
-impl ConfigKey {
-    pub(crate) fn of(config: &ExecConfig) -> Self {
-        // Exhaustive destructuring: adding a field to ExecConfig must
-        // fail to compile here, not silently alias distinct configs to
-        // one pooled machine.
-        let ExecConfig {
-            design,
-            kind,
-            row_bytes,
-            burst_bytes,
-            banks,
-            subarrays_per_bank,
-            rows_per_subarray,
-            paper_row_bytes,
-            salp_subarrays,
-            t_faw_scale,
-            seed,
-            timing_backend,
-        } = config.clone();
-        ConfigKey {
-            design,
-            kind,
-            row_bytes,
-            burst_bytes,
-            banks,
-            subarrays_per_bank,
-            rows_per_subarray,
-            paper_row_bytes,
-            salp_subarrays,
-            t_faw_bits: t_faw_scale.to_bits(),
-            seed,
-            timing_backend,
-        }
-    }
-}
-
 /// Builder for [`Session`]s; starts from [`ExecConfig::measurement`].
-///
-/// The SALP degree follows the memory kind's Table 3 default (16 for
-/// DDR4, 512 for 3DS) until [`SessionBuilder::salp`] pins it explicitly.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     config: ExecConfig,
-    salp_explicit: bool,
 }
 
 impl SessionBuilder {
@@ -266,7 +190,6 @@ impl SessionBuilder {
     pub fn new(design: DesignKind) -> Self {
         SessionBuilder {
             config: ExecConfig::measurement(design),
-            salp_explicit: false,
         }
     }
 
@@ -277,13 +200,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the memory kind (and, unless pinned, its default SALP degree).
+    /// Sets the memory kind (selects the timing and energy models).
     #[must_use]
     pub fn memory(mut self, kind: MemoryKind) -> Self {
         self.config.kind = kind;
-        if !self.salp_explicit {
-            self.config.salp_subarrays = default_salp(kind);
-        }
         self
     }
 
@@ -319,21 +239,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn rows_per_subarray(mut self, rows: u16) -> Self {
         self.config.rows_per_subarray = rows;
-        self
-    }
-
-    /// Pins the subarray-level parallelism used for wall-clock scaling.
-    #[must_use]
-    pub fn salp(mut self, subarrays: usize) -> Self {
-        self.config.salp_subarrays = subarrays;
-        self.salp_explicit = true;
-        self
-    }
-
-    /// Sets the tFAW throttle scale (0.0 = unthrottled).
-    #[must_use]
-    pub fn t_faw_scale(mut self, scale: f64) -> Self {
-        self.config.t_faw_scale = scale;
         self
     }
 
@@ -408,7 +313,8 @@ impl CostReport {
     }
 
     /// Wall-clock seconds to process `volume_bytes` of input given
-    /// `subarrays`-way SALP and a tFAW scale (0.0 = unthrottled).
+    /// `subarrays`-way SALP (Table 3's per-kind degree is
+    /// [`default_salp`]) and a tFAW scale (0.0 = unthrottled).
     pub fn scaled_wall_time(
         &self,
         volume_bytes: f64,
@@ -671,29 +577,6 @@ impl Session {
     ) -> Result<Vec<CostReport>, PlutoError> {
         workloads.iter_mut().map(|w| self.run(w.as_mut())).collect()
     }
-
-    /// Wall-clock seconds to process `volume_bytes` under this session's
-    /// SALP degree and tFAW scale.
-    pub fn wall_secs(&self, report: &CostReport, volume_bytes: f64) -> f64 {
-        report.scaled_wall_time(
-            volume_bytes,
-            self.config.salp_subarrays,
-            self.config.t_faw_scale,
-            &self.config.timing(),
-        )
-    }
-
-    /// Energy in joules to process `volume_bytes` (SALP-independent).
-    pub fn energy_joules(&self, report: &CostReport, volume_bytes: f64) -> f64 {
-        report.scaled_energy(volume_bytes)
-    }
-
-    /// Compiled-plan cache counters ([`crate::plan::plan_stats`]) —
-    /// process-wide and monotonic, surfaced here so session-level tools
-    /// can report warm-plan hit rates next to their cost reports.
-    pub fn plan_stats(&self) -> crate::plan::PlanStats {
-        crate::plan::plan_stats()
-    }
 }
 
 /// Canonical little-endian serialization of a word vector, for
@@ -762,17 +645,17 @@ mod tests {
         let s = Session::builder(DesignKind::Gmc).build().unwrap();
         assert_eq!(*s.config(), ExecConfig::measurement(DesignKind::Gmc));
         assert_eq!(s.config().row_bytes, MEASURE_ROW_BYTES);
-        assert_eq!(s.config().salp_subarrays, 16);
+        assert_eq!(default_salp(s.config().kind), 16);
         assert!((s.config().row_ratio() - 32.0).abs() < 1e-12);
     }
 
     #[test]
-    fn memory_kind_updates_salp_default_unless_pinned() {
+    fn memory_kind_sets_kind_and_row_scaling() {
         let s = Session::builder(DesignKind::Bsa)
             .memory(MemoryKind::Stacked3d)
             .build()
             .unwrap();
-        assert_eq!(s.config().salp_subarrays, 512);
+        assert_eq!(default_salp(s.config().kind), 512);
         assert!((s.config().row_ratio() - 1.0).abs() < 1e-12);
         // measurement_on is exactly what the builder produces — the
         // contract cluster submissions rely on.
@@ -780,13 +663,6 @@ mod tests {
             *s.config(),
             ExecConfig::measurement_on(DesignKind::Bsa, MemoryKind::Stacked3d)
         );
-
-        let pinned = Session::builder(DesignKind::Bsa)
-            .salp(64)
-            .memory(MemoryKind::Stacked3d)
-            .build()
-            .unwrap();
-        assert_eq!(pinned.config().salp_subarrays, 64);
 
         // Overriding the row width rescales both kinds' paper ratios.
         let wide = Session::builder(DesignKind::Bsa)
@@ -856,18 +732,21 @@ mod tests {
     }
 
     #[test]
-    fn wall_secs_honors_salp_and_tfaw() {
+    fn scaled_wall_time_honors_salp_and_tfaw() {
         let mut session = Session::builder(DesignKind::Gmc).build().unwrap();
         let report = session.run(&mut SquareScenario::new()).unwrap();
-        let serial = report.scaled_wall_time(1e6, 1, 0.0, &session.config().timing());
-        assert!((session.wall_secs(&report, 1e6) - serial / 16.0).abs() / serial < 1e-9);
+        let kind = session.config().kind;
+        let timing = TimingParams::for_kind(kind);
+        let serial = report.scaled_wall_time(1e6, 1, 0.0, &timing);
+        let parallel = report.scaled_wall_time(1e6, default_salp(kind), 0.0, &timing);
+        assert!((parallel - serial / 16.0).abs() / serial < 1e-9);
         // A nominal tFAW can only slow things down.
-        let throttled = report.scaled_wall_time(1e6, 2048, 1.0, &session.config().timing());
-        let free = report.scaled_wall_time(1e6, 2048, 0.0, &session.config().timing());
+        let throttled = report.scaled_wall_time(1e6, 2048, 1.0, &timing);
+        let free = report.scaled_wall_time(1e6, 2048, 0.0, &timing);
         assert!(throttled >= free);
         // Energy is parallelism-independent.
-        let e = session.energy_joules(&report, 2e6);
-        assert!((e / session.energy_joules(&report, 1e6) - 2.0).abs() < 1e-9);
+        let e = report.scaled_energy(2e6);
+        assert!((e / report.scaled_energy(1e6) - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,36 +26,20 @@ pub struct PackedCacheStats {
     pub entries: usize,
 }
 
-/// Identity of one packed layout: which LUT (by name and shape) on which
-/// row geometry. Equal keys still verify element equality on hit, so two
-/// different LUTs reusing a name can never alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PackedKey {
-    name: String,
-    input_bits: u32,
-    output_bits: u32,
-    /// Effective slot width — distinct from `max(input, output)` when a
-    /// slot-width floor is pinned (partitioned segments stored at their
-    /// parent's layout, [`crate::lut::Lut::with_min_slot_bits`]).
-    slot_bits: u32,
-    row_bytes: usize,
-}
-
-#[derive(Debug)]
-struct PackedEntry {
-    /// The element table the rows were packed from (the identity witness).
-    elements: Arc<Vec<u64>>,
-    rows: Arc<Vec<Arc<Vec<u8>>>>,
-}
+/// Packed element rows, shared between the cache and every DRAM
+/// resident copy.
+type PackedRows = Arc<Vec<Arc<Vec<u8>>>>;
 
 #[derive(Debug, Default)]
 struct PackedCache {
-    entries: HashMap<PackedKey, Vec<PackedEntry>>,
+    /// Keyed by the LUT itself (name, shape and elements — see
+    /// [`Lut`]'s `Eq`/`Hash`) and the row width it was packed for.
+    entries: HashMap<(Lut, usize), PackedRows>,
     hits: u64,
     misses: u64,
 }
 
-/// Variant count beyond which the cache resets (a deterministic guard
+/// Entry count beyond which the cache resets (a deterministic guard
 /// against unbounded growth under adversarial LUT churn; real workloads
 /// use a handful of LUTs).
 const PACKED_CACHE_CAP: usize = 512;
@@ -75,63 +59,37 @@ fn packed_cache() -> &'static Mutex<PackedCache> {
 /// copy-on-write handles ([`Engine::poke_rows_shared`]), so later in-DRAM
 /// mutation (GSA destruction, row writes) replaces the DRAM-side handle
 /// and can never leak back into the cache. Cache identity is the full
-/// element table, compared on every hit — stale or aliased rows are
-/// structurally impossible.
+/// LUT, elements included, so stale or aliased rows are structurally
+/// impossible; a table rebuilt equal to a cached one still hits.
 ///
 /// A partitioned LUT's segments slice this same parent-keyed entry
-/// (`pluto_core::partition`), so an N-segment load is one cache lookup
-/// and one identity check, not N `name@segK` entries.
-pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> Arc<Vec<Arc<Vec<u8>>>> {
-    let key = PackedKey {
-        name: lut.name().to_string(),
-        input_bits: lut.input_bits(),
-        output_bits: lut.output_bits(),
-        slot_bits: lut.slot_bits(),
-        row_bytes,
-    };
+/// (`pluto_core::partition`), so an N-segment load is one cache lookup,
+/// not N `name@segK` entries.
+pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> PackedRows {
+    let key = (lut.clone(), row_bytes);
     // Lookup holds the lock only briefly; the O(lut_len × row_bytes)
     // packing below runs *unlocked* so one worker's miss on a large LUT
     // never stalls other cluster workers' loads.
-    if let Some(rows) = lookup_packed(&key, lut) {
-        return rows;
+    {
+        let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
+        if let Some(rows) = cache.entries.get(&key).map(Arc::clone) {
+            cache.hits += 1;
+            return rows;
+        }
+        cache.misses += 1;
     }
     let rows = Arc::new(pack_element_rows(lut, row_bytes));
     let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
     // Another worker may have packed the same LUT while we were
     // unlocked — prefer its entry so all loads share one allocation.
-    if let Some(variants) = cache.entries.get(&key) {
-        if let Some(entry) = variants.iter().find(|e| entry_matches(e, lut)) {
-            return Arc::clone(&entry.rows);
-        }
+    if let Some(rows) = cache.entries.get(&key) {
+        return Arc::clone(rows);
     }
-    if cache.entries.values().map(Vec::len).sum::<usize>() >= PACKED_CACHE_CAP {
+    if cache.entries.len() >= PACKED_CACHE_CAP {
         cache.entries.clear();
     }
-    cache.entries.entry(key).or_default().push(PackedEntry {
-        elements: Arc::clone(lut.elements_shared()),
-        rows: Arc::clone(&rows),
-    });
+    cache.entries.insert(key, Arc::clone(&rows));
     rows
-}
-
-fn entry_matches(entry: &PackedEntry, lut: &Lut) -> bool {
-    Arc::ptr_eq(&entry.elements, lut.elements_shared())
-        || *entry.elements == **lut.elements_shared()
-}
-
-/// Cache lookup under a short-lived lock, bumping the hit/miss counters.
-fn lookup_packed(key: &PackedKey, lut: &Lut) -> Option<Arc<Vec<Arc<Vec<u8>>>>> {
-    let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
-    let hit = cache
-        .entries
-        .get(key)
-        .and_then(|variants| variants.iter().find(|e| entry_matches(e, lut)))
-        .map(|entry| Arc::clone(&entry.rows));
-    match hit {
-        Some(_) => cache.hits += 1,
-        None => cache.misses += 1,
-    }
-    hit
 }
 
 /// The packing work the cache elides: one fully packed row per element,
@@ -162,7 +120,7 @@ pub fn packed_cache_stats() -> PackedCacheStats {
     PackedCacheStats {
         hits: cache.hits,
         misses: cache.misses,
-        entries: cache.entries.values().map(Vec::len).sum(),
+        entries: cache.entries.len(),
     }
 }
 
@@ -487,6 +445,25 @@ mod tests {
             assert_eq!(
                 e1.peek_row(s1.element_row(i)).unwrap(),
                 e2.peek_row(s2.element_row(i)).unwrap()
+            );
+        }
+
+        // An equal table rebuilt from scratch (its own element `Arc`, as
+        // a pipeline that re-derives its tables per sample holds) still
+        // hits: identity is the contents, not the allocation.
+        let rebuilt = Lut::from_table("cache-probe", 2, 4, vec![9, 8, 7, 6]).unwrap();
+        let before_rebuilt = packed_cache_stats();
+        let mut e4 = engine();
+        let s4 =
+            LutStore::load(&mut e4, rebuilt, BankId(0), SubarrayId(2), SubarrayId(0), 0).unwrap();
+        assert!(
+            packed_cache_stats().hits > before_rebuilt.hits,
+            "rebuilt equal table is a cache hit"
+        );
+        for i in 0..4 {
+            assert_eq!(
+                e1.peek_row(s1.element_row(i)).unwrap(),
+                e4.peek_row(s4.element_row(i)).unwrap()
             );
         }
 

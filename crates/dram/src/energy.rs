@@ -134,6 +134,19 @@ mod tests {
     }
 
     #[test]
+    fn timing_for_kind_dispatches_on_kind() {
+        use crate::timing::TimingParams;
+        assert_eq!(
+            TimingParams::for_kind(MemoryKind::Ddr4),
+            TimingParams::ddr4_2400()
+        );
+        assert_eq!(
+            TimingParams::for_kind(MemoryKind::Stacked3d),
+            TimingParams::hmc_3ds()
+        );
+    }
+
+    #[test]
     fn lisa_hop_cheaper_than_act_pre() {
         // LISA avoids a full activation pair; its energy must sit below one
         // ACT+PRE cycle for the paper's GSA-vs-BSA energy ordering to hold.

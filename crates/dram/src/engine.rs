@@ -57,10 +57,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine with the timing/energy models matching `cfg`.
     pub fn new(cfg: DramConfig) -> Self {
-        let timing = match cfg.kind {
-            crate::geometry::MemoryKind::Ddr4 => TimingParams::ddr4_2400(),
-            crate::geometry::MemoryKind::Stacked3d => TimingParams::hmc_3ds(),
-        };
+        let timing = TimingParams::for_kind(cfg.kind);
         let energy_model = EnergyModel::for_config(&cfg);
         Engine {
             array: MemoryArray::new(cfg.clone()),

@@ -6,6 +6,7 @@
 //! from faster row activation (§8.2 reports 3DS designs outperform DDR4 by
 //! 38 % on average, i.e. activation phases take ≈ 1/1.38 of the DDR4 time).
 
+use crate::geometry::MemoryKind;
 use crate::units::Picos;
 use std::fmt;
 
@@ -73,6 +74,15 @@ impl TimingParams {
             t_burst: Picos::from_ns(0.25), // 32 B on a wide TSV interface
             t_lisa_hop: ddr4.t_lisa_hop.scale(f),
             t_faw_scale_applied: 1.0,
+        }
+    }
+
+    /// Picks the parameter set matching a memory kind (the timing
+    /// counterpart of [`crate::EnergyModel::for_config`]).
+    pub fn for_kind(kind: MemoryKind) -> Self {
+        match kind {
+            MemoryKind::Ddr4 => TimingParams::ddr4_2400(),
+            MemoryKind::Stacked3d => TimingParams::hmc_3ds(),
         }
     }
 

@@ -22,6 +22,7 @@
 
 use pluto_repro::baselines::WorkloadId;
 use pluto_repro::core::lut::Lut;
+use pluto_repro::core::plan::plan_stats;
 use pluto_repro::core::serve::{serial_oracle, QuerySpec, ServeConfig, Server};
 use pluto_repro::core::session::ExecConfig;
 use pluto_repro::core::{DesignKind, PlutoError};
@@ -135,7 +136,7 @@ fn qnn_traffic(workers: usize, timing: TimingBackend) -> Result<(), PlutoError> 
         start.elapsed().as_secs_f64() * 1e3,
         stats.batches,
         stats.affinities,
-        server.plan_stats().hits
+        plan_stats().hits
     );
     println!("all inferences bit-identical to the host i32 oracle");
     Ok(())
@@ -224,7 +225,7 @@ fn main() -> Result<(), PlutoError> {
         stats.affinities,
         server.steals()
     );
-    let plans = server.plan_stats();
+    let plans = plan_stats();
     println!(
         "plan cache: {} hit(s), {} miss(es), {} fallback(s) across {} cached plan(s)",
         plans.hits, plans.misses, plans.fallbacks, plans.entries

@@ -9,15 +9,15 @@
 //! ```
 
 use pluto_repro::baselines::WorkloadId;
-use pluto_repro::core::session::{Session, Workload};
+use pluto_repro::core::session::{default_salp, Session, Workload};
 use pluto_repro::core::{DesignKind, PlutoError};
-use pluto_repro::dram::MemoryKind;
+use pluto_repro::dram::{MemoryKind, TimingParams};
 use pluto_repro::workloads::workload_for;
 
 fn main() -> Result<(), PlutoError> {
     // 1. A session over the highest-throughput design. Every knob —
-    //    design, memory kind, geometry, SALP, tFAW — is an explicit
-    //    builder value with Table 3 defaults.
+    //    design, memory kind, geometry, seed, timing backend — is an
+    //    explicit builder value with Table 3 defaults.
     let mut session = Session::builder(DesignKind::Gmc).build()?;
 
     // 2. Pluggable workloads from the registry, run as one batch. Each
@@ -55,14 +55,16 @@ fn main() -> Result<(), PlutoError> {
     }
     assert!(reports.iter().all(|r| r.validated));
 
-    // 3. Scale a measured batch to a 100 MB stream under this session's
-    //    SALP degree (16 subarrays on DDR4).
+    // 3. Scale a measured batch to a 100 MB stream under the memory
+    //    kind's Table 3 SALP degree (16 subarrays on DDR4), unthrottled.
     let vmpc = &reports[0];
+    let kind = session.config().kind;
+    let salp = default_salp(kind);
     println!(
         "\nVMPC over 100 MB @ {} subarrays: {:.3e} s, {:.3e} J",
-        session.config().salp_subarrays,
-        session.wall_secs(vmpc, 100e6),
-        session.energy_joules(vmpc, 100e6),
+        salp,
+        vmpc.scaled_wall_time(100e6, salp, 0.0, &TimingParams::for_kind(kind)),
+        vmpc.scaled_energy(100e6),
     );
 
     // 4. The same workload on 3D-stacked memory: a second, independent
