@@ -30,6 +30,9 @@ PLUTO_QUICK=1 cargo test -q --test timing_backend
 echo "==> Plan-replay and fused-path differential (tests/plan_replay.rs + tests/partition_fused.rs, plans-on == plans-off and fused == serial lanes)"
 PLUTO_QUICK=1 cargo test -q --test plan_replay --test partition_fused
 
+echo "==> Cache residency (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses)"
+PLUTO_QUICK=1 cargo test -q --test cache_residency
+
 echo "==> Session API quickstart (examples/session.rs)"
 cargo run --release --quiet --example session
 

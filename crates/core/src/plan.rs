@@ -35,16 +35,18 @@
 //! `execute_scalar_reference` / `query_serial_reference`.
 //!
 //! The cache mirrors the packed-row cache in [`crate::store`]: one
-//! process-wide map under a mutex, cleared wholesale past a deterministic
-//! cap. Unlike packed rows, tapes need no identity witness — the cost of a
-//! sweep is independent of the element *values*, so two same-shaped LUTs
-//! sharing a key is correct, not a collision.
+//! process-wide byte-budgeted LRU map under a mutex, bounded by the bytes
+//! its tapes occupy (`PLAN_CACHE_BUDGET`). Unlike packed rows, tapes need
+//! no identity witness — the cost of a sweep is independent of the
+//! element *values*, so two same-shaped LUTs sharing a key is correct,
+//! not a collision.
 
+use crate::cache::ByteLru;
 use crate::design::DesignKind;
 use crate::store::LutStore;
 use pluto_dram::{CostTape, DramConfig, Engine};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::mem::size_of;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,6 +61,11 @@ pub struct PlanStats {
     pub fallbacks: u64,
     /// Tapes currently cached.
     pub entries: usize,
+    /// Tapes evicted to keep the cache within its byte budget.
+    pub evictions: u64,
+    /// Bytes the cached tapes and their keys are charged against the
+    /// budget.
+    pub bytes: usize,
 }
 
 /// Everything that can shift a lane's command-stream cost delta. Two
@@ -150,28 +157,43 @@ impl PlanKey {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PlanCache {
-    entries: HashMap<PlanKey, Arc<CostTape>>,
+    tapes: ByteLru<PlanKey, Arc<CostTape>>,
     hits: u64,
     misses: u64,
     fallbacks: u64,
 }
 
-/// Entry count beyond which the cache resets (same deterministic
-/// anti-churn guard as the packed-row cache; real traffic uses a handful
-/// of plan shapes).
-const PLAN_CACHE_CAP: usize = 512;
+/// Byte budget of the plan cache. `figure_sweep` (18 registry workloads
+/// × 6 configurations) records 13,196 distinct tapes, charged 10.7 MiB
+/// with their keys (about 850 B each). A cyclic scan larger than an
+/// LRU's budget never hits, so the budget holds that working set with
+/// room to spare.
+const PLAN_CACHE_BUDGET: usize = 32 << 20;
 
-fn plan_cache() -> &'static Mutex<PlanCache> {
+/// Locks the cache. It is pure memoization, so a map left behind by a
+/// panicking lock holder is still safe to read: recover it rather than
+/// fail every later query in the process.
+fn plan_cache() -> MutexGuard<'static, PlanCache> {
     static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache::default()))
+    CACHE
+        .get_or_init(|| {
+            Mutex::new(PlanCache {
+                tapes: ByteLru::new(PLAN_CACHE_BUDGET),
+                hits: 0,
+                misses: 0,
+                fallbacks: 0,
+            })
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Looks up a tape, bumping the hit/miss counters.
 pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
-    let hit = cache.entries.get(key).map(Arc::clone);
+    let mut cache = plan_cache();
+    let hit = cache.tapes.get(key).map(Arc::clone);
     match hit {
         Some(_) => cache.hits += 1,
         None => cache.misses += 1,
@@ -179,29 +201,86 @@ pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
     hit
 }
 
-/// Stores a freshly recorded tape.
+/// Stores a freshly recorded tape, charged its own heap plus its key's.
 pub(crate) fn insert(key: PlanKey, tape: CostTape) {
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
-    if cache.entries.len() >= PLAN_CACHE_CAP {
-        cache.entries.clear();
-    }
-    cache.entries.insert(key, Arc::new(tape));
+    let bytes = size_of::<(PlanKey, Arc<CostTape>)>()
+        + key.lut_name.capacity()
+        + size_of::<CostTape>()
+        + tape.heap_bytes();
+    plan_cache().tapes.insert(key, Arc::new(tape), bytes);
 }
 
 /// Counts a lane that ran the issuing path because a legality gate
 /// failed.
 pub(crate) fn note_fallback() {
-    plan_cache().lock().expect("plan cache poisoned").fallbacks += 1;
+    plan_cache().fallbacks += 1;
 }
 
-/// Hit/miss/fallback counters of the plan cache (process-wide and
-/// monotonic, like [`crate::store::packed_cache_stats`]).
+/// Hit/miss/fallback/eviction counters and occupancy of the plan cache
+/// (process-wide; the counters are monotonic, like
+/// [`crate::store::packed_cache_stats`]).
 pub fn plan_stats() -> PlanStats {
-    let cache = plan_cache().lock().expect("plan cache poisoned");
+    let cache = plan_cache();
     PlanStats {
         hits: cache.hits,
         misses: cache.misses,
         fallbacks: cache.fallbacks,
-        entries: cache.entries.len(),
+        entries: cache.tapes.len(),
+        evictions: cache.tapes.evictions(),
+        bytes: cache.tapes.bytes(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lut::Lut;
+    use crate::partition::PartitionedLut;
+    use pluto_dram::{BankId, RowId, SubarrayId};
+
+    /// Queries a one-segment LUT on a fresh engine (so every call starts
+    /// from the same timing state and a cached tape replays).
+    fn query_fresh(lut: &Lut, inputs: &[u64]) -> Vec<u64> {
+        let mut engine = Engine::new(DramConfig {
+            row_bytes: 32,
+            burst_bytes: 8,
+            banks: 1,
+            subarrays_per_bank: 8,
+            rows_per_subarray: 64,
+            ..DramConfig::ddr4_2400()
+        });
+        let mut part =
+            PartitionedLut::load(&mut engine, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        let (out, _) = part
+            .query(
+                &mut engine,
+                DesignKind::Gmc,
+                SubarrayId(0),
+                SubarrayId(1),
+                inputs,
+                RowId(0),
+                RowId(1),
+            )
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn queries_survive_a_panic_that_poisons_the_cache_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _cache = plan_cache();
+            panic!("a lock holder panics");
+        });
+        assert!(poisoner.join().is_err(), "the lock holder panicked");
+
+        let lut = Lut::from_fn("plan-poison-probe", 5, 8, |x| x ^ 0x5A).unwrap();
+        let inputs: Vec<u64> = (0..32).collect();
+        let expect: Vec<u64> = inputs.iter().map(|&x| x ^ 0x5A).collect();
+        assert_eq!(query_fresh(&lut, &inputs), expect, "cold query records");
+        let before = plan_stats();
+        assert_eq!(query_fresh(&lut, &inputs), expect, "warm query replays");
+        // Counters are process-wide and other tests query concurrently,
+        // so only lower-bound them.
+        assert!(plan_stats().hits > before.hits, "the warm lane hit");
     }
 }

@@ -8,12 +8,13 @@
 //! neighbouring subarray and is re-loaded into the pLUTo-enabled subarray
 //! before every query at a cost of `LISA_RBM × N` (Table 1).
 
+use crate::cache::ByteLru;
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
 use pluto_dram::{BankId, Engine, RowId, RowLoc, SubarrayId};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::mem::size_of;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counters of the process-wide packed-row cache (see [`packed_cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,29 +25,54 @@ pub struct PackedCacheStats {
     pub misses: u64,
     /// LUT variants currently cached.
     pub entries: usize,
+    /// LUT variants evicted to keep the cache within its byte budget.
+    pub evictions: u64,
+    /// Bytes the cached rows are charged against the budget.
+    pub bytes: usize,
 }
 
 /// Packed element rows, shared between the cache and every DRAM
 /// resident copy.
 type PackedRows = Arc<Vec<Arc<Vec<u8>>>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PackedCache {
     /// Keyed by the LUT itself (name, shape and elements — see
     /// [`Lut`]'s `Eq`/`Hash`) and the row width it was packed for.
-    entries: HashMap<(Lut, usize), PackedRows>,
+    rows: ByteLru<(Lut, usize), PackedRows>,
     hits: u64,
     misses: u64,
 }
 
-/// Entry count beyond which the cache resets (a deterministic guard
-/// against unbounded growth under adversarial LUT churn; real workloads
-/// use a handful of LUTs).
-const PACKED_CACHE_CAP: usize = 512;
+/// Byte budget of the packed-row cache. `figure_sweep` (18 registry
+/// workloads × 6 configurations) packs 1,820 distinct tables: 147 MiB of
+/// row payload in 602,388 rows of 256 B, about 175 MiB with each row's
+/// shared handle charged too. A cyclic scan larger than an LRU's budget
+/// never hits, so the budget holds that working set with room to spare.
+const PACKED_CACHE_BUDGET: usize = 256 << 20;
 
-fn packed_cache() -> &'static Mutex<PackedCache> {
+/// Locks the cache. It is pure memoization, so a map left behind by a
+/// panicking lock holder is still safe to read: recover it rather than
+/// fail every later load in the process.
+fn packed_cache() -> MutexGuard<'static, PackedCache> {
     static CACHE: OnceLock<Mutex<PackedCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PackedCache::default()))
+    CACHE
+        .get_or_init(|| {
+            Mutex::new(PackedCache {
+                rows: ByteLru::new(PACKED_CACHE_BUDGET),
+                hits: 0,
+                misses: 0,
+            })
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Heap bytes `rows` pins: every row's buffer, its `Arc` allocation
+/// (two counts and the `Vec` header), and its handle in the outer table.
+fn packed_bytes(rows: &[Arc<Vec<u8>>]) -> usize {
+    let per_row = size_of::<Arc<Vec<u8>>>() + 2 * size_of::<usize>() + size_of::<Vec<u8>>();
+    rows.iter().map(|row| row.capacity() + per_row).sum()
 }
 
 /// Returns the fully packed element rows for `lut` on a `row_bytes`
@@ -71,24 +97,22 @@ pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> PackedRows {
     // packing below runs *unlocked* so one worker's miss on a large LUT
     // never stalls other cluster workers' loads.
     {
-        let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
-        if let Some(rows) = cache.entries.get(&key).map(Arc::clone) {
+        let mut cache = packed_cache();
+        if let Some(rows) = cache.rows.get(&key).map(Arc::clone) {
             cache.hits += 1;
             return rows;
         }
         cache.misses += 1;
     }
     let rows = Arc::new(pack_element_rows(lut, row_bytes));
-    let mut cache = packed_cache().lock().expect("packed-row cache poisoned");
+    let bytes = packed_bytes(&rows);
+    let mut cache = packed_cache();
     // Another worker may have packed the same LUT while we were
     // unlocked — prefer its entry so all loads share one allocation.
-    if let Some(rows) = cache.entries.get(&key) {
+    if let Some(rows) = cache.rows.get(&key) {
         return Arc::clone(rows);
     }
-    if cache.entries.len() >= PACKED_CACHE_CAP {
-        cache.entries.clear();
-    }
-    cache.entries.insert(key, Arc::clone(&rows));
+    cache.rows.insert(key, Arc::clone(&rows), bytes);
     rows
 }
 
@@ -113,14 +137,17 @@ fn pack_element_rows(lut: &Lut, row_bytes: usize) -> Vec<Arc<Vec<u8>>> {
         .collect()
 }
 
-/// Hit/miss/occupancy counters of the packed-row cache (for tests and the
-/// bench harness; counters are process-wide and monotonic).
+/// Hit/miss/eviction counters and occupancy of the packed-row cache
+/// (for tests and the bench harness; process-wide, and the counters are
+/// monotonic).
 pub fn packed_cache_stats() -> PackedCacheStats {
-    let cache = packed_cache().lock().expect("packed-row cache poisoned");
+    let cache = packed_cache();
     PackedCacheStats {
         hits: cache.hits,
         misses: cache.misses,
-        entries: cache.entries.len(),
+        entries: cache.rows.len(),
+        evictions: cache.rows.evictions(),
+        bytes: cache.rows.bytes(),
     }
 }
 
@@ -506,6 +533,34 @@ mod tests {
         let mut e2 = engine();
         let s2 = LutStore::load(&mut e2, lut, BankId(0), SubarrayId(1), SubarrayId(0), 60).unwrap();
         assert_eq!(e2.peek_row(s2.element_row(1)).unwrap(), pristine);
+    }
+
+    #[test]
+    fn loads_survive_a_panic_that_poisons_the_cache_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _cache = packed_cache();
+            panic!("a lock holder panics");
+        });
+        assert!(poisoner.join().is_err(), "the lock holder panicked");
+
+        let before = packed_cache_stats();
+        let lut = Lut::from_table("poison-probe", 2, 4, vec![1, 4, 9, 3]).unwrap();
+        for _ in 0..2 {
+            let mut e = engine();
+            let store = LutStore::load(
+                &mut e,
+                lut.clone(),
+                BankId(0),
+                SubarrayId(2),
+                SubarrayId(0),
+                0,
+            )
+            .unwrap();
+            let row = e.peek_row(store.element_row(2)).unwrap();
+            assert!(row.iter().all(|&b| b == 0x99));
+        }
+        // Process-wide counters: lower-bound only (see above).
+        assert!(packed_cache_stats().hits > before.hits, "repeat load hit");
     }
 
     #[test]

@@ -102,6 +102,28 @@ pub fn contribution_table(spec: CrcSpec, len: usize, i: usize) -> Vec<u64> {
         .collect()
 }
 
+/// Every position's contribution LUT at once: `contribution_tables(spec,
+/// len)[i] == contribution_table(spec, len, i)`. One linear pass instead
+/// of a bitwise CRC over `len − i` bytes per position: the last position
+/// is the byte-update table, and each earlier one appends a zero byte to
+/// the next, `T_i[b] = (T_{i+1}[b] << 8) ⊕ table[top byte of T_{i+1}[b]]`.
+pub(crate) fn contribution_tables(spec: CrcSpec, len: usize) -> Vec<Vec<u64>> {
+    let byte_table = crc_table(spec);
+    let append_zero_byte = |table: &Vec<u64>| {
+        let shifted = table.iter().map(|&crc| {
+            let top = (crc >> (spec.width - 8)) & 0xFF;
+            ((crc << 8) ^ byte_table[top as usize]) & spec.mask()
+        });
+        Some(shifted.collect())
+    };
+    let mut tables: Vec<Vec<u64>> =
+        std::iter::successors(Some(byte_table.clone()), append_zero_byte)
+            .take(len)
+            .collect();
+    tables.reverse();
+    tables
+}
+
 /// Computes the CRC of every packet simultaneously on `machine`.
 ///
 /// All packets must share one length. Returns one CRC per packet.
@@ -131,11 +153,10 @@ pub fn crc_pluto(
     // One staging buffer for every byte plane (CRC-32 over 100-byte
     // packets reuses it 100 times instead of reallocating).
     let mut bytes: Vec<u64> = Vec::with_capacity(n);
-    for i in 0..len {
+    for (i, table) in contribution_tables(spec, len).iter().enumerate() {
         // Byte i of every packet, as one bulk query input vector.
         bytes.clear();
         bytes.extend(packets.iter().map(|p| p[i] as u64));
-        let table = contribution_table(spec, len, i);
         // One nibble-extraction LUT query per plane of the contribution.
         let mut contrib_planes = Vec::with_capacity(limbs);
         for l in 0..limbs {
@@ -234,6 +255,24 @@ mod tests {
                 acc ^ contribution_table(spec, pkt.len(), i)[pkt[i] as usize]
             });
             assert_eq!(folded, crc_bitwise(spec, pkt), "width {}", spec.width);
+        }
+    }
+
+    #[test]
+    fn one_pass_tables_match_the_per_position_definition() {
+        for spec in [CrcSpec::CRC8, CrcSpec::CRC16, CrcSpec::CRC32] {
+            for len in [1, 2, 17, 128] {
+                let tables = contribution_tables(spec, len);
+                assert_eq!(tables.len(), len);
+                for (i, table) in tables.iter().enumerate() {
+                    assert_eq!(
+                        *table,
+                        contribution_table(spec, len, i),
+                        "width {} len {len} position {i}",
+                        spec.width
+                    );
+                }
+            }
         }
     }
 

@@ -227,8 +227,8 @@ fn main() -> Result<(), PlutoError> {
     );
     let plans = plan_stats();
     println!(
-        "plan cache: {} hit(s), {} miss(es), {} fallback(s) across {} cached plan(s)",
-        plans.hits, plans.misses, plans.fallbacks, plans.entries
+        "plan cache: {} hit(s), {} miss(es), {} fallback(s), {} eviction(s) across {} cached plan(s)",
+        plans.hits, plans.misses, plans.fallbacks, plans.evictions, plans.entries
     );
     println!(
         "{timing} timing: {row_hits} row-buffer hit(s), {row_misses} miss(es), \
