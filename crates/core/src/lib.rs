@@ -27,8 +27,6 @@
 //! * [`plan`] — compiled query plans (`DESIGN.md` §10): a process-wide
 //!   cache of recorded per-lane cost tapes, so warm segment lanes apply
 //!   a memoized delta instead of re-simulating every command.
-//! * `cache` (crate-internal) — the byte-budgeted LRU map under the plan
-//!   cache and the packed-row cache in [`store`].
 //! * [`salp`] — subarray-level parallelism scaling, tFAW sensitivity.
 //! * [`loading`] — the §8.5 LUT-loading overhead model (Fig. 11).
 //! * [`session`] — the unified execution API (`DESIGN.md` §5): explicit
@@ -62,7 +60,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod area;
-pub(crate) mod cache;
 pub mod cluster;
 pub mod compiler;
 pub mod controller;

@@ -35,17 +35,15 @@
 //! `execute_scalar_reference` / `query_serial_reference`.
 //!
 //! The cache mirrors the packed-row cache in [`crate::store`]: one
-//! process-wide byte-budgeted LRU map under a mutex, bounded by the bytes
-//! its tapes occupy (`PLAN_CACHE_BUDGET`). Unlike packed rows, tapes need
-//! no identity witness — the cost of a sweep is independent of the
-//! element *values*, so two same-shaped LUTs sharing a key is correct,
-//! not a collision.
+//! process-wide map under a mutex, cleared wholesale past a deterministic
+//! cap. Unlike packed rows, tapes need no identity witness — the cost of a
+//! sweep is independent of the element *values*, so two same-shaped LUTs
+//! sharing a key is correct, not a collision.
 
-use crate::cache::ByteLru;
 use crate::design::DesignKind;
 use crate::store::LutStore;
 use pluto_dram::{CostTape, DramConfig, Engine};
-use std::mem::size_of;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
@@ -61,11 +59,8 @@ pub struct PlanStats {
     pub fallbacks: u64,
     /// Tapes currently cached.
     pub entries: usize,
-    /// Tapes evicted to keep the cache within its byte budget.
+    /// Tapes dropped because the cache reached its entry cap.
     pub evictions: u64,
-    /// Bytes the cached tapes and their keys are charged against the
-    /// budget.
-    pub bytes: usize,
 }
 
 /// Everything that can shift a lane's command-stream cost delta. Two
@@ -157,20 +152,23 @@ impl PlanKey {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PlanCache {
-    tapes: ByteLru<PlanKey, Arc<CostTape>>,
+    entries: HashMap<PlanKey, Arc<CostTape>>,
     hits: u64,
     misses: u64,
     fallbacks: u64,
+    evictions: u64,
 }
 
-/// Byte budget of the plan cache. `figure_sweep` (18 registry workloads
-/// × 6 configurations) records 13,196 distinct tapes, charged 10.7 MiB
-/// with their keys (about 850 B each). A cyclic scan larger than an
-/// LRU's budget never hits, so the budget holds that working set with
-/// room to spare.
-const PLAN_CACHE_BUDGET: usize = 32 << 20;
+/// Entry count at which the cache resets (a deterministic guard against
+/// unbounded growth). Tapes are small, so the count bounds the bytes
+/// too: `figure_sweep` (18 registry workloads × 6 configurations)
+/// records 13,196 distinct tapes in about 10.7 MiB with their keys, an
+/// average of 850 B each, so a full cache pins about 27 MiB. The cap
+/// holds that working set with room to spare, so a sweep repeated in one
+/// process records nothing twice.
+const PLAN_CACHE_CAP: usize = 32_768;
 
 /// Locks the cache. It is pure memoization, so a map left behind by a
 /// panicking lock holder is still safe to read: recover it rather than
@@ -178,14 +176,7 @@ const PLAN_CACHE_BUDGET: usize = 32 << 20;
 fn plan_cache() -> MutexGuard<'static, PlanCache> {
     static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
     CACHE
-        .get_or_init(|| {
-            Mutex::new(PlanCache {
-                tapes: ByteLru::new(PLAN_CACHE_BUDGET),
-                hits: 0,
-                misses: 0,
-                fallbacks: 0,
-            })
-        })
+        .get_or_init(|| Mutex::new(PlanCache::default()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
 }
@@ -193,7 +184,7 @@ fn plan_cache() -> MutexGuard<'static, PlanCache> {
 /// Looks up a tape, bumping the hit/miss counters.
 pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
     let mut cache = plan_cache();
-    let hit = cache.tapes.get(key).map(Arc::clone);
+    let hit = cache.entries.get(key).map(Arc::clone);
     match hit {
         Some(_) => cache.hits += 1,
         None => cache.misses += 1,
@@ -201,13 +192,15 @@ pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
     hit
 }
 
-/// Stores a freshly recorded tape, charged its own heap plus its key's.
+/// Stores a freshly recorded tape, first clearing the cache (and
+/// counting every dropped tape as an eviction) if it is full.
 pub(crate) fn insert(key: PlanKey, tape: CostTape) {
-    let bytes = size_of::<(PlanKey, Arc<CostTape>)>()
-        + key.lut_name.capacity()
-        + size_of::<CostTape>()
-        + tape.heap_bytes();
-    plan_cache().tapes.insert(key, Arc::new(tape), bytes);
+    let mut cache = plan_cache();
+    if cache.entries.len() >= PLAN_CACHE_CAP {
+        cache.evictions += cache.entries.len() as u64;
+        cache.entries.clear();
+    }
+    cache.entries.insert(key, Arc::new(tape));
 }
 
 /// Counts a lane that ran the issuing path because a legality gate
@@ -225,9 +218,8 @@ pub fn plan_stats() -> PlanStats {
         hits: cache.hits,
         misses: cache.misses,
         fallbacks: cache.fallbacks,
-        entries: cache.tapes.len(),
-        evictions: cache.tapes.evictions(),
-        bytes: cache.tapes.bytes(),
+        entries: cache.entries.len(),
+        evictions: cache.evictions,
     }
 }
 

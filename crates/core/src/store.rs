@@ -8,11 +8,11 @@
 //! neighbouring subarray and is re-loaded into the pLUTo-enabled subarray
 //! before every query at a cost of `LISA_RBM × N` (Table 1).
 
-use crate::cache::ByteLru;
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
 use pluto_dram::{BankId, Engine, RowId, RowLoc, SubarrayId};
+use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -25,9 +25,9 @@ pub struct PackedCacheStats {
     pub misses: u64,
     /// LUT variants currently cached.
     pub entries: usize,
-    /// LUT variants evicted to keep the cache within its byte budget.
+    /// LUT variants dropped to keep the cache within its byte budget.
     pub evictions: u64,
-    /// Bytes the cached rows are charged against the budget.
+    /// Bytes the cached entries are charged against the budget.
     pub bytes: usize,
 }
 
@@ -35,21 +35,43 @@ pub struct PackedCacheStats {
 /// resident copy.
 type PackedRows = Arc<Vec<Arc<Vec<u8>>>>;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PackedCache {
     /// Keyed by the LUT itself (name, shape and elements — see
     /// [`Lut`]'s `Eq`/`Hash`) and the row width it was packed for.
-    rows: ByteLru<(Lut, usize), PackedRows>,
+    entries: HashMap<(Lut, usize), PackedRows>,
+    /// Sum of the entries' [`charged_bytes`].
+    bytes: usize,
     hits: u64,
     misses: u64,
+    evictions: u64,
 }
 
-/// Byte budget of the packed-row cache. `figure_sweep` (18 registry
-/// workloads × 6 configurations) packs 1,820 distinct tables: 147 MiB of
-/// row payload in 602,388 rows of 256 B, about 175 MiB with each row's
-/// shared handle charged too. A cyclic scan larger than an LRU's budget
-/// never hits, so the budget holds that working set with room to spare.
+/// Byte budget of the packed-row cache. Packed tables differ in size by
+/// orders of magnitude, so the cache is bounded by the bytes its entries
+/// pin, not by their count. `figure_sweep` (18 registry workloads × 6
+/// configurations) packs 1,820 distinct tables: 147 MiB of row payload in
+/// 602,388 rows of 256 B, charged 179 MiB with row handles and keys. The
+/// budget holds that working set with room to spare, so a sweep repeated
+/// in one process packs nothing twice.
 const PACKED_CACHE_BUDGET: usize = 256 << 20;
+
+impl PackedCache {
+    /// Caches `rows` under `key`, charged `bytes`. An insert that would
+    /// take the total past [`PACKED_CACHE_BUDGET`] first clears the map
+    /// (a deterministic guard against unbounded growth, counting every
+    /// dropped entry as an eviction), so the newest table always stays
+    /// cached, even one larger than the whole budget.
+    fn insert(&mut self, key: (Lut, usize), rows: PackedRows, bytes: usize) {
+        if self.bytes + bytes > PACKED_CACHE_BUDGET {
+            self.evictions += self.entries.len() as u64;
+            self.entries.clear();
+            self.bytes = 0;
+        }
+        self.bytes += bytes;
+        self.entries.insert(key, rows);
+    }
+}
 
 /// Locks the cache. It is pure memoization, so a map left behind by a
 /// panicking lock holder is still safe to read: recover it rather than
@@ -57,22 +79,19 @@ const PACKED_CACHE_BUDGET: usize = 256 << 20;
 fn packed_cache() -> MutexGuard<'static, PackedCache> {
     static CACHE: OnceLock<Mutex<PackedCache>> = OnceLock::new();
     CACHE
-        .get_or_init(|| {
-            Mutex::new(PackedCache {
-                rows: ByteLru::new(PACKED_CACHE_BUDGET),
-                hits: 0,
-                misses: 0,
-            })
-        })
+        .get_or_init(|| Mutex::new(PackedCache::default()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Heap bytes `rows` pins: every row's buffer, its `Arc` allocation
-/// (two counts and the `Vec` header), and its handle in the outer table.
-fn packed_bytes(rows: &[Arc<Vec<u8>>]) -> usize {
+/// Heap bytes a cache entry pins: every row's buffer, its `Arc`
+/// allocation (two counts and the `Vec` header) and its handle in the
+/// outer table, plus the key's name and elements, which the key may be
+/// the last to hold.
+fn charged_bytes(lut: &Lut, rows: &[Arc<Vec<u8>>]) -> usize {
     let per_row = size_of::<Arc<Vec<u8>>>() + 2 * size_of::<usize>() + size_of::<Vec<u8>>();
-    rows.iter().map(|row| row.capacity() + per_row).sum()
+    let row_bytes: usize = rows.iter().map(|row| row.capacity() + per_row).sum();
+    row_bytes + lut.len() * size_of::<u64>() + lut.name().len()
 }
 
 /// Returns the fully packed element rows for `lut` on a `row_bytes`
@@ -98,21 +117,21 @@ pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> PackedRows {
     // never stalls other cluster workers' loads.
     {
         let mut cache = packed_cache();
-        if let Some(rows) = cache.rows.get(&key).map(Arc::clone) {
+        if let Some(rows) = cache.entries.get(&key).map(Arc::clone) {
             cache.hits += 1;
             return rows;
         }
         cache.misses += 1;
     }
     let rows = Arc::new(pack_element_rows(lut, row_bytes));
-    let bytes = packed_bytes(&rows);
+    let bytes = charged_bytes(lut, &rows);
     let mut cache = packed_cache();
     // Another worker may have packed the same LUT while we were
     // unlocked — prefer its entry so all loads share one allocation.
-    if let Some(rows) = cache.rows.get(&key) {
+    if let Some(rows) = cache.entries.get(&key) {
         return Arc::clone(rows);
     }
-    cache.rows.insert(key, Arc::clone(&rows), bytes);
+    cache.insert(key, Arc::clone(&rows), bytes);
     rows
 }
 
@@ -145,9 +164,9 @@ pub fn packed_cache_stats() -> PackedCacheStats {
     PackedCacheStats {
         hits: cache.hits,
         misses: cache.misses,
-        entries: cache.rows.len(),
-        evictions: cache.rows.evictions(),
-        bytes: cache.rows.bytes(),
+        entries: cache.entries.len(),
+        evictions: cache.evictions,
+        bytes: cache.bytes,
     }
 }
 
@@ -561,6 +580,25 @@ mod tests {
         }
         // Process-wide counters: lower-bound only (see above).
         assert!(packed_cache_stats().hits > before.hits, "repeat load hit");
+    }
+
+    #[test]
+    fn an_insert_past_the_byte_budget_clears_the_cache_first() {
+        // A private cache with made-up charges, so the budget is reached
+        // without packing hundreds of MiB.
+        let mut cache = PackedCache::default();
+        let key = |i: u64| Lut::from_table(format!("k{i}"), 1, 4, vec![i, 0]).unwrap();
+        let mut insert = |i: u64, bytes: usize| {
+            cache.insert((key(i), 32), PackedRows::default(), bytes);
+            (cache.entries.len(), cache.bytes, cache.evictions)
+        };
+        let half = PACKED_CACHE_BUDGET / 2;
+        assert_eq!(insert(0, half), (1, half, 0));
+        assert_eq!(insert(1, half), (2, PACKED_CACHE_BUDGET, 0), "at budget");
+        assert_eq!(insert(2, 1), (1, 1, 2), "past it: both dropped first");
+        let huge = 2 * PACKED_CACHE_BUDGET;
+        assert_eq!(insert(3, huge), (1, huge, 3), "an oversized table stays");
+        assert!(cache.entries.contains_key(&(key(3), 32)));
     }
 
     #[test]

@@ -1250,26 +1250,6 @@ impl CostTape {
         self.backend
     }
 
-    /// Heap bytes the tape owns beyond its own `size_of` (its op list,
-    /// ACT/queue tails, and recorded timing signatures), so a cache can
-    /// budget tapes by what they pin.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        fn vec_bytes<T>(v: &Vec<T>) -> usize {
-            v.capacity() * size_of::<T>()
-        }
-        let sig = &self.entry_sig;
-        vec_bytes(&self.ops)
-            + vec_bytes(&self.act_tail)
-            + vec_bytes(&self.queue_tail)
-            + vec_bytes(&self.end_bank_open)
-            + vec_bytes(&self.end_share_open)
-            + vec_bytes(&sig.faw)
-            + vec_bytes(&sig.queue)
-            + vec_bytes(&sig.bank_open)
-            + vec_bytes(&sig.share_open)
-    }
-
     /// Whether applying this tape from `engine`'s current state is exact:
     /// the engine must run the same timing backend (a tape embeds its
     /// backend's penalties in the deltas), and the live timing-state
@@ -1826,21 +1806,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(a.elapsed(), b.elapsed(), "tFAW throttling agrees");
-    }
-
-    #[test]
-    fn tape_heap_bytes_count_what_the_tape_recorded() {
-        use std::mem::size_of;
-        let mut e = binding();
-        e.begin_tape();
-        let empty = e.end_tape().expect("capture survived");
-        assert_eq!(empty.heap_bytes(), 0, "an empty capture owns no heap");
-        e.begin_tape();
-        issue_query_shape(&mut e);
-        let tape = e.end_tape().expect("capture survived");
-        // At least one run-length op and one ACT offset in the tail.
-        let floor = size_of::<TapeOp>() + size_of::<Picos>();
-        assert!(tape.heap_bytes() >= floor, "{} B", tape.heap_bytes());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Residency of the byte-budgeted plan and packed-row caches
-//! (`DESIGN.md` §7, §10): a working set with more entries than the old
-//! 512-entry caps, but far below both byte budgets, stays cached, so
-//! repeating a run packs and records nothing.
+//! Residency of the plan and packed-row caches (`DESIGN.md` §7, §10): a
+//! working set with more entries than the old 512-entry caps, but far
+//! below the plan cache's entry cap and the packed-row cache's byte
+//! budget, stays cached, so repeating a run packs and records nothing.
 //!
 //! One CRC-32 run loads 1,025 distinct tables (128 byte positions × 8
 //! nibble planes, plus the XOR LUT) and records as many plan keys. The
