@@ -27,8 +27,8 @@ PLUTO_QUICK=1 cargo test -q --workspace
 echo "==> Timing-backend differential (tests/timing_backend.rs, analytic == banked bit-for-bit)"
 PLUTO_QUICK=1 cargo test -q --test timing_backend
 
-echo "==> Plan-replay and fused-path differential (tests/plan_replay.rs + tests/partition_fused.rs, plans-on == plans-off and fused == serial lanes)"
-PLUTO_QUICK=1 cargo test -q --test plan_replay --test partition_fused
+echo "==> Plan-replay, plan-key and fused-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/partition_fused.rs, plans-on == plans-off, every input the plan key omits leaves lane cost unchanged, and fused == serial lanes)"
+PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_fused
 
 echo "==> Cache residency (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses)"
 PLUTO_QUICK=1 cargo test -q --test cache_residency

@@ -9,10 +9,10 @@
 //!
 //! 1. **Tail-latency bound.** The p99 latency of small queries under
 //!    mixed traffic must stay within `TAIL_FACTOR`× their isolated
-//!    *median* — work-stealing lets an idle worker lift a small batch
+//!    *median* — work-stealing lets an idle worker lift a small query
 //!    over another lane's in-flight sweep, so the tail grows by
 //!    timesharing, not by queueing behind whole sweeps.
-//! 2. **Stealing is live.** Under skewed lane load (many sweep batches
+//! 2. **Stealing is live.** Under skewed lane load (many sweep queries
 //!    on one affinity's home lane, an otherwise idle second worker) the
 //!    pool's steal counter must move.
 //!
@@ -102,8 +102,8 @@ fn gamma_lut() -> Arc<Lut> {
 }
 
 /// Sustained small-query throughput at 1/2/4 workers: one iteration is a
-/// burst of enqueues, a flush, and a wait for every ticket. The
-/// per-query rate is `1e9 * queries / mean_ns`.
+/// burst of enqueues and a wait for every ticket. The per-query rate is
+/// `1e9 * queries / mean_ns`.
 fn bench_throughput(c: &mut Criterion) {
     let lut = add_lut();
     let queries: u64 = if quick() { 8 } else { 32 };
@@ -118,7 +118,6 @@ fn bench_throughput(c: &mut Criterion) {
                     let tickets: Vec<_> = (0..queries)
                         .map(|i| server.enqueue(small_spec(&lut, i)))
                         .collect();
-                    server.flush();
                     tickets
                         .into_iter()
                         .map(|t| t.wait().expect("query served").values[0])
@@ -143,7 +142,6 @@ fn bench_latency(c: &mut Criterion) {
     for i in 0..4 {
         let t = server.enqueue(small_spec(&add, i));
         let s = server.enqueue(sweep_spec(&gamma, i));
-        server.flush();
         t.wait().expect("warmup query");
         s.wait().expect("warmup sweep");
     }
@@ -153,13 +151,12 @@ fn bench_latency(c: &mut Criterion) {
     for i in 0..measured {
         let start = Instant::now();
         let t = server.enqueue(small_spec(&add, i as u64));
-        server.flush();
         t.wait().expect("isolated query");
         isolated.push(start.elapsed().as_nanos() as f64);
     }
     c.record_ns("latency/small_isolated", isolated.clone());
 
-    // Mixed: keep sweep batches landing on the gamma affinity's home
+    // Mixed: keep sweep queries landing on the gamma affinity's home
     // lane while small queries arrive on theirs; stealing (or simply a
     // free worker) must keep the small-query tail bounded. The sweep
     // backlog is capped at 4 in flight — steady-state mixed traffic,
@@ -179,7 +176,6 @@ fn bench_latency(c: &mut Criterion) {
         }
         let start = Instant::now();
         let t = server.enqueue(small_spec(&add, 1000 + i as u64));
-        server.flush();
         t.wait().expect("mixed query");
         mixed.push(start.elapsed().as_nanos() as f64);
     }
@@ -243,8 +239,8 @@ fn baseline_summary(key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Skewed-lane contention: every sweep batch homes on lane 0 while the
-/// second worker's lane stays empty, so any batch worker 1 executes is a
+/// Skewed-lane contention: every sweep query homes on lane 0 while the
+/// second worker's lane stays empty, so any query worker 1 executes is a
 /// steal. Repeats bounded rounds until the counter moves (thread
 /// scheduling decides *when* a steal happens, never *whether results
 /// change*).
@@ -254,11 +250,7 @@ fn bench_steals(c: &mut Criterion) {
     let mut rounds = 0u64;
     while server.steals() == 0 && rounds < 50 {
         let tickets: Vec<_> = (0..8)
-            .map(|i| {
-                let t = server.enqueue(sweep_spec(&gamma, rounds * 8 + i));
-                server.flush(); // one batch per query -> 8 queued batches
-                t
-            })
+            .map(|i| server.enqueue(sweep_spec(&gamma, rounds * 8 + i)))
             .collect();
         for t in tickets {
             t.wait().expect("sweep served");
@@ -301,7 +293,6 @@ fn bench_banked(c: &mut Criterion) {
             (server.enqueue(small), server.enqueue(sweep))
         })
         .collect();
-    server.flush();
     for (small, sweep) in tickets {
         for reply in [
             small.wait().expect("banked small"),

@@ -15,11 +15,11 @@
 //! Scheduling runs on per-worker work-stealing deques
 //! (the crate-internal `deque::StealDeques`): batch shards are dealt round-robin
 //! across worker lanes, the streaming [`crate::serve::Server`] injects
-//! its affinity batches onto specific lanes, and an idle worker steals
-//! from the back of a busy lane — so a small latency-sensitive serve
-//! batch never waits behind another lane's large sweep. The same worker
-//! pool executes both job flavors (the internal `Job` enum), sharing one
-//! per-configuration machine pool.
+//! each query onto its affinity class's home lane, and an idle worker
+//! steals from the back of a busy lane — so a small latency-sensitive
+//! serve query never waits behind another lane's large sweep. The same
+//! worker pool executes both job flavors (the internal `Job` enum),
+//! sharing one per-configuration machine pool.
 //!
 //! Three properties make the pool safe to put under every figure sweep:
 //!
@@ -93,17 +93,17 @@ pub(crate) struct ShardJob {
 }
 
 /// What a worker can pull off a deque lane: a batch-mode shard (the
-/// `submit`/`run` path) or a streaming serve batch injected by
+/// `submit`/`run` path) or a streaming serve query injected by
 /// [`crate::serve::Server`]. Both run on the same per-worker machine
-/// pool, so a serve batch lands on sessions the batch path warmed and
+/// pool, so a serve query lands on sessions the batch path warmed and
 /// vice versa.
 pub(crate) enum Job {
     /// A shard of a submitted batch job; its result flows back through
     /// the cluster's result channel.
     Shard(ShardJob),
-    /// A coalesced serve batch; its results flow back through the
-    /// batch's own per-ticket reply channels.
-    Serve(crate::serve::ServeBatch),
+    /// One serve query; its result flows back through its own ticket's
+    /// reply channel.
+    Serve(crate::serve::ServeJob),
 }
 
 /// Book-keeping for one submitted job until all its shards report back.
@@ -273,10 +273,10 @@ impl Cluster {
         seq
     }
 
-    /// Pushes a coalesced serve batch onto worker `lane`'s deque (used by
+    /// Pushes a serve query onto worker `lane`'s deque (used by
     /// [`crate::serve::Server`], which owns the lane-affinity mapping).
-    pub(crate) fn inject_serve(&self, lane: usize, batch: crate::serve::ServeBatch) {
-        self.deques.push(lane, Job::Serve(batch));
+    pub(crate) fn inject_serve(&self, lane: usize, job: crate::serve::ServeJob) {
+        self.deques.push(lane, Job::Serve(job));
     }
 
     /// Submits every workload of a batch under one configuration and
@@ -379,7 +379,7 @@ fn worker_main(deques: &StealDeques<Job>, lane: usize, results: &mpsc::Sender<Sh
     // The keyed machine pool: one live Session (machine + config) per
     // distinct ExecConfig this worker has executed. Sessions reset their
     // machine in place between runs, so repeat configurations never pay
-    // machine construction again. Batch shards and serve batches share
+    // machine construction again. Batch shards and serve queries share
     // the pool.
     let mut pool: HashMap<ExecConfig, Session> = HashMap::new();
     loop {
@@ -409,18 +409,8 @@ fn worker_main(deques: &StealDeques<Job>, lane: usize, results: &mpsc::Sender<Sh
                     return; // cluster handle dropped
                 }
             }
-            Job::Serve(batch) => {
-                // Serve batches reply on their own per-ticket channels
-                // and catch per-query panics internally; a panic escaping
-                // the batch machinery itself still must not kill the
-                // worker (the batch's drop guards resolve its tickets).
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::serve::execute_batch(&mut pool, batch);
-                }));
-                if caught.is_err() {
-                    pool.clear();
-                }
-            }
+            // Replies on the query's own ticket and contains its panic.
+            Job::Serve(job) => crate::serve::execute(&mut pool, job),
         }
     }
 }

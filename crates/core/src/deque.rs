@@ -2,12 +2,12 @@
 //! the batch [`crate::cluster::Cluster`] and the streaming
 //! [`crate::serve::Server`] (`DESIGN.md` §9).
 //!
-//! The PR 3 executor used one shared `Mutex<VecDeque>` job queue: fine
-//! for a figure sweep's handful of coarse jobs, but a serving front-end
-//! coalesces traffic into *affinity batches* that should land on the
-//! worker whose session/LUT pools are already hot — and a single FIFO
-//! cannot express "home worker first, help elsewhere when idle". This
-//! module replaces it with the classic work-stealing shape:
+//! One shared `Mutex<VecDeque>` job queue is fine for a figure sweep's
+//! handful of coarse jobs, but a serving front-end sends each query to
+//! the home lane of its affinity class — the worker whose session/LUT
+//! pools are already hot — and a single FIFO cannot express "home worker
+//! first, help elsewhere when idle". This module uses the classic
+//! work-stealing shape instead:
 //!
 //! * one deque (*lane*) per worker; producers [`StealDeques::push`] onto
 //!   a chosen home lane,
@@ -19,7 +19,7 @@
 //!
 //! The implementation is deliberately lock-per-lane rather than a
 //! lock-free Chase–Lev deque: the workspace forbids `unsafe`, items are
-//! coarse (whole shard jobs / serve batches, milliseconds of work), and
+//! coarse (whole shard jobs / serve queries, milliseconds of work), and
 //! the contract that matters here is *scheduling behavior* (steal
 //! accounting, wakeups, graceful shutdown), not nanosecond pop latency.
 //! Locks recover from poisoning — a panicking worker must degrade the

@@ -5,16 +5,16 @@
 //! words authoritative for *data*. Every query runs as a
 //! [`crate::partition::PartitionedLut`] (a LUT that fits one subarray is
 //! the one-segment case), and each segment lane's command stream — and
-//! therefore its cost delta — is a pure function of the effective
-//! configuration, design, segment geometry, placement distances, and
-//! residency state; the data path is a single gather. So the cost side
-//! can be *compiled*: the first lane issued under a `PlanKey` records a
-//! [`CostTape`] while running the ordinary issuing path, and every later
-//! lane under the same key applies the tape via
-//! [`Engine::apply_replayed`], skipping per-command simulation entirely.
-//! Lanes are the only tape shape, so a tape carries no phase marks and
-//! the key carries no shape or slot count (a lane's cost is independent
-//! of how many slots the query fills).
+//! therefore its cost delta — is a pure function of the timing and
+//! energy models, the timing backend, the design, the segment's length,
+//! placement distances, and residency state; the data path is a single
+//! gather. So the cost side can be *compiled*: the first lane issued
+//! under a `PlanKey` records a [`CostTape`] while running the ordinary
+//! issuing path, and every later lane under the same key applies the tape
+//! via [`Engine::apply_replayed`], skipping per-command simulation
+//! entirely. Lanes are the only tape shape, so a tape carries no phase
+//! marks and the key carries no shape or slot count (a lane's cost is
+//! independent of how many slots the query fills).
 //!
 //! ## Legality
 //!
@@ -37,12 +37,13 @@
 //! The cache mirrors the packed-row cache in [`crate::store`]: one
 //! process-wide map under a mutex, cleared wholesale past a deterministic
 //! cap. Unlike packed rows, tapes need no identity witness — the cost of a
-//! sweep is independent of the element *values*, so two same-shaped LUTs
-//! sharing a key is correct, not a collision.
+//! sweep is independent of the element *values*, the LUT's name and its
+//! bit widths, so two segments of one length sharing a key is correct,
+//! not a collision.
 
 use crate::design::DesignKind;
 use crate::store::LutStore;
-use pluto_dram::{CostTape, DramConfig, Engine};
+use pluto_dram::{CostTape, Engine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -66,12 +67,12 @@ pub struct PlanStats {
 /// Everything that can shift a lane's command-stream cost delta. Two
 /// lanes with equal keys issue identical command streams from any start
 /// state with the same timing signature, so one recorded tape serves
-/// both.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// both. The geometry, the LUT's name and its bit widths are absent on
+/// purpose: a lane reads the configuration only through its timing and
+/// energy models (fingerprinted below), and the LUT only through its
+/// length (`tests/plan_key.rs` perturbs each of them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    /// Effective DRAM geometry (row width bounds slot capacity; kind
-    /// selects the default models).
-    cfg: DramConfig,
     /// Timing fingerprint: the eight `Picos` parameters plus the applied
     /// tFAW scale's bits, so `with_models` engines (SALP/tFAW sweeps)
     /// never share tapes with the defaults.
@@ -83,12 +84,7 @@ pub(crate) struct PlanKey {
     /// separate them even though serial single-bank streams agree.
     backend: pluto_dram::TimingBackend,
     design: DesignKind,
-    /// LUT identity by *shape*, not contents — cost never reads element
-    /// values.
-    lut_name: String,
-    input_bits: u32,
-    output_bits: u32,
-    slot_bits: u32,
+    /// Segment rows swept (and reloaded, for GSA).
     lut_len: usize,
     /// LISA distance master ↔ pLUTo subarray (reload cost per row).
     reload_hops: u16,
@@ -114,9 +110,7 @@ impl PlanKey {
     ) -> PlanKey {
         let t = engine.timing();
         let e = engine.energy_model();
-        let lut = store.lut();
         PlanKey {
-            cfg: engine.config().clone(),
             timing: [
                 t.t_rcd.as_ps(),
                 t.t_rp.as_ps(),
@@ -139,11 +133,7 @@ impl PlanKey {
             ],
             backend: engine.timing_backend(),
             design,
-            lut_name: lut.name().to_string(),
-            input_bits: lut.input_bits(),
-            output_bits: lut.output_bits(),
-            slot_bits: lut.slot_bits(),
-            lut_len: lut.len(),
+            lut_len: store.lut().len(),
             reload_hops: store.master().0.abs_diff(store.subarray().0),
             out_hops,
             dest_is_source,
@@ -228,7 +218,7 @@ mod tests {
     use super::*;
     use crate::lut::Lut;
     use crate::partition::PartitionedLut;
-    use pluto_dram::{BankId, RowId, SubarrayId};
+    use pluto_dram::{BankId, DramConfig, RowId, SubarrayId};
 
     /// Queries a one-segment LUT on a fresh engine (so every call starts
     /// from the same timing state and a cached tape replays).

@@ -1,5 +1,5 @@
-//! `pluto-serve` — a streaming LUT-query service with affinity batching
-//! and work-stealing workers on top of [`Cluster`] (`DESIGN.md` §9).
+//! `pluto-serve` — a streaming LUT-query service with affinity lanes and
+//! work-stealing workers on top of [`Cluster`] (`DESIGN.md` §9).
 //!
 //! The batch [`Cluster`] answers "run this job list and wait"; the north
 //! star's serving scenario — millions of users hitting a tone-map / CRC /
@@ -12,39 +12,36 @@
 //! the design solves: latency-sensitive small queries coexisting with
 //! heavyweight sweeps on one substrate.
 //!
-//! The pipeline (ingestion → affinity coalescer → work-stealing deques →
+//! The pipeline (ingestion → affinity lanes → work-stealing deques →
 //! per-ticket replies):
 //!
 //! 1. **Ingestion.** [`Server::enqueue`] is non-blocking: it hands back a
 //!    [`Ticket`] immediately; the caller later blocks on
 //!    [`Ticket::wait`] (or holds a bag of tickets and waits for each in
 //!    arrival order).
-//! 2. **Affinity coalescing.** Queries are grouped into shard-sized
-//!    batches keyed by the effective [`ExecConfig`] and the [`Lut`]
-//!    itself (name, shape and elements) — the config is the same key the
-//!    cluster workers pool their [`Session`]s under, so every query of a
-//!    batch lands on a machine already sized and reset for it, and
-//!    repeat LUTs hit the process-wide packed-row cache
-//!    ([`crate::store`]). A batch flushes when it reaches
-//!    [`ServeConfig::batch_slots`] entries or on [`Server::flush`] /
-//!    [`Server::drain`].
-//! 3. **Work-stealing dispatch.** Each affinity class has a *home lane*
-//!    (assigned round-robin in first-appearance order — deterministic,
-//!    no hash iteration). Batches are injected onto that worker's deque;
-//!    an idle worker steals from the back of a busy lane, so a small
-//!    query batch never queues behind another lane's in-flight sweep
-//!    (the crate-internal `deque` module).
-//! 4. **Per-ticket replies.** Every query owns an `mpsc` reply channel.
-//!    Within a batch, queries execute and reply in arrival order; a
-//!    dropped worker resolves its tickets with
-//!    [`PlutoError::WorkerLost`] instead of leaving the caller hanging.
+//! 2. **Affinity lanes.** A query's affinity class is its effective
+//!    [`ExecConfig`] and the [`Lut`] itself (name, shape and elements) —
+//!    the config is the same key the cluster workers pool their
+//!    [`Session`]s under, so a class's queries land on machines already
+//!    sized for them, and repeat LUTs hit the process-wide packed-row
+//!    cache ([`crate::store`]). Each class has a *home lane*, assigned
+//!    round-robin in first-appearance order (deterministic, no hash
+//!    iteration), and `enqueue` injects the query onto it as one job at
+//!    once: nothing waits for a batch to fill or for a flush.
+//! 3. **Work-stealing dispatch.** An idle worker steals from the back of
+//!    a busy lane, so a small query never queues behind another lane's
+//!    in-flight sweep (the crate-internal `deque` module).
+//! 4. **Per-ticket replies.** Every query owns an `mpsc` reply channel
+//!    and replies the moment it completes; a dropped worker resolves its
+//!    tickets with [`PlutoError::WorkerLost`] instead of leaving the
+//!    caller hanging.
 //!
 //! **Determinism contract.** Each query runs as its own
 //! [`Session::run`] on a pristine (reset) machine, so its output words
 //! and [`CostReport`] are bit-identical to [`serial_oracle`] — the same
 //! query run serially through a fresh [`Session`] — regardless of
-//! worker count, arrival order, batching, or whether a steal moved the
-//! batch. Scheduling decides only *when*, never *what*.
+//! worker count, arrival order, or whether a steal moved the query.
+//! Scheduling decides only *when*, never *what*.
 //!
 //! ```
 //! use pluto_core::serve::{QuerySpec, Server, ServeConfig};
@@ -54,7 +51,7 @@
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), pluto_core::PlutoError> {
-//! let mut server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
+//! let mut server = Server::new(ServeConfig { workers: 2 });
 //! let lut = Arc::new(catalog::add(4)?);
 //! let tickets: Vec<_> = (0..8)
 //!     .map(|i| {
@@ -65,7 +62,6 @@
 //!         })
 //!     })
 //!     .collect();
-//! server.flush();
 //! for (i, t) in tickets.into_iter().enumerate() {
 //!     let reply = t.wait()?;
 //!     assert_eq!(reply.values[0], (i as u64 >> 4) + (i as u64 & 0xf));
@@ -87,8 +83,8 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 ///
 /// The LUT is shared by `Arc` so that thousands of queries against one
 /// registry LUT (the serving steady state) carry a pointer, not a table
-/// copy; affinity batching keys on the LUT itself, so clones (and equal
-/// rebuilds) of one logical LUT coalesce together while a different
+/// copy; affinity classes key on the LUT itself, so clones (and equal
+/// rebuilds) of one logical LUT share a home lane while a different
 /// table reusing a name opens its own affinity class.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
@@ -167,18 +163,12 @@ impl Ticket {
 pub struct ServeConfig {
     /// Worker threads (and deque lanes). Clamped to at least one.
     pub workers: usize,
-    /// Queries per affinity batch before it auto-flushes. Sized so one
-    /// batch amortizes session residency without starving other
-    /// affinities of a worker; latency-sensitive callers flush early
-    /// via [`Server::flush`].
-    pub batch_slots: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: default_workers(),
-            batch_slots: 32,
         }
     }
 }
@@ -190,21 +180,18 @@ impl Default for ServeConfig {
 pub struct ServeStats {
     /// Queries accepted by [`Server::enqueue`].
     pub enqueued: u64,
-    /// Batches dispatched to worker lanes.
+    /// Jobs dispatched to worker lanes. Every query is dispatched as its
+    /// own job when it arrives, so this always equals `enqueued`; it is
+    /// kept for the repository benchmark's occupancy metric.
     pub batches: u64,
-    /// Batches dispatched because they filled to `batch_slots` (the
-    /// rest were flushed explicitly or by drain/shutdown).
-    pub full_batches: u64,
-    /// Largest batch occupancy dispatched so far.
-    pub max_batch: usize,
     /// Distinct affinity classes seen (effective config × LUT table).
     pub affinities: usize,
 }
 
 /// Count of enqueued-but-unresolved queries, shared between the server
-/// handle and in-flight batches; [`Server::drain`] blocks on it reaching
-/// zero. Batches decrement it from a drop guard, so even a panicking
-/// worker accounts for its queries.
+/// handle and in-flight jobs; [`Server::drain`] blocks on it reaching
+/// zero. Each job decrements it from a drop guard, so even a panicking
+/// worker accounts for its query.
 #[derive(Debug, Default)]
 struct Outstanding {
     count: Mutex<u64>,
@@ -212,14 +199,16 @@ struct Outstanding {
 }
 
 impl Outstanding {
-    fn add(&self, n: u64) {
+    /// Counts one more unresolved query; the returned guard releases it.
+    fn track(self: &Arc<Self>) -> DoneGuard {
         let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *count += n;
+        *count += 1;
+        DoneGuard(Arc::clone(self))
     }
 
-    fn sub(&self, n: u64) {
+    fn release(&self) {
         let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *count = count.saturating_sub(n);
+        *count = count.saturating_sub(1);
         if *count == 0 {
             self.zero.notify_all();
         }
@@ -240,40 +229,30 @@ impl Outstanding {
     }
 }
 
-/// Decrements the outstanding counter when dropped — once per query the
-/// batch carried — so ticket accounting survives worker panics and
-/// discarded batches alike.
-struct DoneGuard {
-    outstanding: Arc<Outstanding>,
-    queries: u64,
-}
+/// Releases its query from the outstanding counter when dropped, so
+/// ticket accounting survives worker panics and discarded jobs alike.
+struct DoneGuard(Arc<Outstanding>);
 
 impl Drop for DoneGuard {
     fn drop(&mut self) {
-        self.outstanding.sub(self.queries);
+        self.0.release();
     }
 }
 
-/// One query inside a coalesced batch.
-struct ServeEntry {
+/// One dispatch-ready query — the serve flavor of
+/// [`crate::cluster::Job`]. The executing worker runs it on its pooled
+/// session for the class's effective configuration.
+pub(crate) struct ServeJob {
+    key: AffinityKey,
     seq: u64,
     inputs: Vec<u64>,
     reply: mpsc::Sender<Result<QueryReply, PlutoError>>,
-}
-
-/// A coalesced, dispatch-ready batch of same-affinity queries — the
-/// serve flavor of [`crate::cluster::Job`]. All entries share one
-/// effective configuration and LUT, so the executing worker runs the
-/// whole batch on one pooled session.
-pub(crate) struct ServeBatch {
-    key: AffinityKey,
-    entries: Vec<ServeEntry>,
-    /// Accounting guard; dropping the batch (normally, on panic, or
-    /// discarded by shutdown) releases its queries from `drain`.
+    /// Accounting guard; dropping the job (normally, on panic, or
+    /// discarded by shutdown) releases its query from `drain`.
     done: DoneGuard,
 }
 
-/// Identity of an affinity class: queries whose batches may share a
+/// Identity of an affinity class: queries that share a home lane, a
 /// pooled session and packed LUT rows. `Arc<Lut>` compares by pointer
 /// first, then by the table ([`Lut`]'s `Eq`), so equal tables share a
 /// class and same-name tables with other contents never do.
@@ -286,23 +265,11 @@ struct AffinityKey {
     lut: Arc<Lut>,
 }
 
-/// A batch still filling in the coalescer. Kept in an insertion-ordered
-/// `Vec` (not a `HashMap`) so flush order — and therefore lane traffic —
-/// is deterministic for a fixed arrival order.
-struct PendingBatch {
-    key: AffinityKey,
-    lane: usize,
-    entries: Vec<ServeEntry>,
-}
-
 /// A streaming LUT-query service: non-blocking ingestion, affinity
-/// batching, work-stealing execution on a [`Cluster`] worker pool, and
+/// lanes, work-stealing execution on a [`Cluster`] worker pool, and
 /// per-ticket result delivery. See the [module docs](self).
 pub struct Server {
     cluster: Cluster,
-    batch_slots: usize,
-    /// Filling batches, insertion-ordered.
-    pending: Vec<PendingBatch>,
     /// Home lane per affinity class, assigned round-robin in
     /// first-appearance order.
     lanes: HashMap<AffinityKey, usize>,
@@ -316,8 +283,6 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("workers", &self.cluster.workers())
-            .field("batch_slots", &self.batch_slots)
-            .field("pending_batches", &self.pending.len())
             .field("outstanding", &self.outstanding.current())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -329,8 +294,6 @@ impl Server {
     pub fn new(config: ServeConfig) -> Self {
         Server {
             cluster: Cluster::new(config.workers),
-            batch_slots: config.batch_slots.max(1),
-            pending: Vec::new(),
             lanes: HashMap::new(),
             next_lane: 0,
             next_seq: 0,
@@ -339,12 +302,9 @@ impl Server {
         }
     }
 
-    /// Starts a server with `workers` threads and default batching.
+    /// Starts a server with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        Server::new(ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        })
+        Server::new(ServeConfig { workers })
     }
 
     /// Worker threads in the pool.
@@ -363,19 +323,18 @@ impl Server {
         self.outstanding.current()
     }
 
-    /// Ingestion/batching telemetry so far.
+    /// Ingestion and scheduling telemetry so far.
     pub fn stats(&self) -> ServeStats {
         self.stats
     }
 
-    /// Accepts one query and returns its [`Ticket`] immediately.
+    /// Accepts one query, dispatches it onto its affinity class's home
+    /// lane, and returns its [`Ticket`] immediately.
     ///
-    /// Non-blocking: the query joins (or opens) the filling batch of its
-    /// affinity class and is dispatched when that batch fills to
-    /// [`ServeConfig::batch_slots`], or on [`Server::flush`] /
-    /// [`Server::drain`]. Invalid queries (e.g. an input exceeding the
-    /// LUT's index range) are still accepted here; the failure arrives
-    /// through the ticket, leaving other queries of the batch untouched.
+    /// Non-blocking, and no later call is needed to start the query.
+    /// Invalid queries (e.g. an input exceeding the LUT's index range)
+    /// are still accepted here; the failure arrives through the ticket,
+    /// leaving every other query untouched.
     pub fn enqueue(&mut self, spec: QuerySpec) -> Ticket {
         let QuerySpec {
             config,
@@ -385,83 +344,53 @@ impl Server {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.enqueued += 1;
-        self.outstanding.add(1);
+        let done = self.outstanding.track();
         let (reply, rx) = mpsc::channel();
 
         let key = AffinityKey {
             config: effective_config(config, &lut),
             lut,
         };
-        let entry = ServeEntry { seq, inputs, reply };
-        match self.pending.iter_mut().find(|b| b.key == key) {
-            Some(batch) => batch.entries.push(entry),
+        // Home lane: first appearance of an affinity claims the next
+        // lane round-robin — deterministic for a fixed arrival order. A
+        // table rebuilt equal to the class's runs as the class's own
+        // `Arc`, so the worker's packed-row lookup matches the entry the
+        // class's first load cached by pointer.
+        let (key, lane) = match self.lanes.get_key_value(&key) {
+            Some((class, &lane)) => (class.clone(), lane),
             None => {
-                // Home lane: first appearance of an affinity claims the
-                // next lane round-robin — deterministic for a fixed
-                // arrival order. A filling batch already carries its
-                // class's lane, so only a new batch looks it up. A table
-                // rebuilt equal to the class's runs as the class's own
-                // `Arc`, so the worker's packed-row lookup matches the
-                // entry the class's first load cached by pointer.
-                let (key, lane) = match self.lanes.get_key_value(&key) {
-                    Some((class, &lane)) => (class.clone(), lane),
-                    None => {
-                        let lane = self.next_lane;
-                        self.next_lane = (self.next_lane + 1) % self.cluster.workers().max(1);
-                        self.lanes.insert(key.clone(), lane);
-                        self.stats.affinities = self.lanes.len();
-                        (key, lane)
-                    }
-                };
-                self.pending.push(PendingBatch {
-                    key,
-                    lane,
-                    entries: vec![entry],
-                });
+                let lane = self.next_lane;
+                self.next_lane = (self.next_lane + 1) % self.cluster.workers().max(1);
+                self.lanes.insert(key.clone(), lane);
+                self.stats.affinities = self.lanes.len();
+                (key, lane)
             }
-        }
-        // Auto-flush any batch that just filled (only the touched one
-        // can have).
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|b| b.entries.len() >= self.batch_slots)
-        {
-            let batch = self.pending.remove(pos);
-            self.stats.full_batches += 1;
-            self.dispatch(batch);
-        }
+        };
+        self.stats.batches += 1;
+        self.cluster.inject_serve(
+            lane,
+            ServeJob {
+                key,
+                seq,
+                inputs,
+                reply,
+                done,
+            },
+        );
         Ticket { seq, rx }
     }
 
-    /// Dispatches every filling batch, in insertion order. Call after a
-    /// burst of enqueues (or for latency-sensitive single queries) so no
-    /// query waits for its batch to fill.
-    pub fn flush(&mut self) {
-        for batch in std::mem::take(&mut self.pending) {
-            self.dispatch(batch);
-        }
-    }
+    /// Does nothing: [`Server::enqueue`] dispatches every query as it
+    /// arrives. Kept only because the repository benchmark still calls
+    /// it.
+    pub fn flush(&mut self) {}
 
-    fn dispatch(&mut self, batch: PendingBatch) {
-        let PendingBatch { key, lane, entries } = batch;
-        self.stats.batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(entries.len());
-        let done = DoneGuard {
-            outstanding: Arc::clone(&self.outstanding),
-            queries: entries.len() as u64,
-        };
-        self.cluster
-            .inject_serve(lane, ServeBatch { key, entries, done });
-    }
-
-    /// Graceful drain: flushes every filling batch, then blocks until
-    /// every enqueued ticket has been resolved (successfully or with an
-    /// error). After `drain` returns, every outstanding [`Ticket::wait`]
-    /// returns without blocking; no ticket is ever dropped. The server
-    /// stays usable — drain is a barrier, not a shutdown.
+    /// Graceful drain: blocks until every enqueued ticket has been
+    /// resolved (successfully or with an error). After `drain` returns,
+    /// every outstanding [`Ticket::wait`] returns without blocking; no
+    /// ticket is ever dropped. The server stays usable — drain is a
+    /// barrier, not a shutdown.
     pub fn drain(&mut self) {
-        self.flush();
         self.outstanding.wait_zero();
     }
 }
@@ -469,9 +398,8 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         // Shutdown implies drain: every accepted ticket resolves before
-        // the workers join (satellite: no enqueued ticket is ever
-        // dropped). The cluster's own Drop then closes the deques and
-        // joins the pool.
+        // the workers join, so no enqueued ticket is ever dropped. The
+        // cluster's own Drop then closes the deques and joins the pool.
         self.drain();
     }
 }
@@ -549,9 +477,9 @@ impl Workload for QueryWorkload {
 }
 
 /// Runs one query exactly as a worker would, but serially on a fresh
-/// [`Session`] — the determinism oracle: for any worker count, arrival
-/// order, or batching, the served [`QueryReply`] carries these same
-/// output words and this same bit-exact [`CostReport`].
+/// [`Session`] — the determinism oracle: for any worker count or arrival
+/// order, the served [`QueryReply`] carries these same output words and
+/// this same bit-exact [`CostReport`].
 ///
 /// # Errors
 /// Whatever the query itself fails with (construction, layout, index
@@ -567,45 +495,40 @@ pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoEr
     Ok((workload.out, report))
 }
 
-/// Executes a coalesced batch on a worker's pooled sessions (called from
-/// the cluster worker loop). Entries run — and reply — in arrival
-/// order; a per-entry panic resolves that entry's ticket with
-/// [`PlutoError::WorkerPanic`] and drops the (possibly torn) pooled
-/// sessions, leaving the rest of the batch to run on rebuilt machines.
-pub(crate) fn execute_batch(pool: &mut HashMap<ExecConfig, Session>, batch: ServeBatch) {
-    let ServeBatch {
+/// Executes one query on a worker's pooled sessions (called from the
+/// cluster worker loop) and replies on its ticket. A panic in the query
+/// resolves the ticket with [`PlutoError::WorkerPanic`] and drops the
+/// (possibly torn) pooled sessions, so the next job runs on a rebuilt
+/// machine.
+pub(crate) fn execute(pool: &mut HashMap<ExecConfig, Session>, job: ServeJob) {
+    let ServeJob {
         key: AffinityKey { config, lut },
-        entries,
+        seq,
+        inputs,
+        reply,
         done,
-    } = batch;
-    // One workload reused across the whole batch: per-query inputs are
-    // moved in and outputs moved out, so the hot loop constructs no
-    // per-entry workload (and clones no per-entry `Arc`).
+    } = job;
     let mut workload = QueryWorkload {
         lut,
-        inputs: Vec::new(),
+        inputs,
         out: Vec::new(),
     };
-    for entry in entries {
-        let ServeEntry { seq, inputs, reply } = entry;
-        workload.inputs = inputs;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_pooled(pool, &config, &mut workload)
-        }))
-        .unwrap_or_else(|payload| {
-            pool.clear();
-            Err(PlutoError::WorkerPanic {
-                reason: panic_message(payload.as_ref()),
-            })
-        });
-        // A dropped ticket (caller gave up) is fine; everyone else gets
-        // their reply before the done-guard releases the drain barrier.
-        let _ = reply.send(outcome.map(|report| QueryReply {
-            seq,
-            values: std::mem::take(&mut workload.out),
-            report,
-        }));
-    }
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_pooled(pool, &config, &mut workload)
+    }))
+    .unwrap_or_else(|payload| {
+        pool.clear();
+        Err(PlutoError::WorkerPanic {
+            reason: panic_message(payload.as_ref()),
+        })
+    });
+    // A dropped ticket (caller gave up) is fine; everyone else gets
+    // their reply before the done-guard releases the drain barrier.
+    let _ = reply.send(outcome.map(|report| QueryReply {
+        seq,
+        values: workload.out,
+        report,
+    }));
     drop(done);
 }
 
@@ -628,7 +551,6 @@ mod tests {
         let mut server = Server::with_workers(2);
         let specs: Vec<QuerySpec> = (0..6).map(|i| spec(vec![i, i + 16, i + 32])).collect();
         let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
-        server.flush();
         for (s, t) in specs.iter().zip(tickets) {
             let (values, report) = serial_oracle(s).unwrap();
             let reply = t.wait().unwrap();
@@ -639,21 +561,17 @@ mod tests {
     }
 
     #[test]
-    fn tickets_number_in_arrival_order_and_batches_coalesce() {
-        let mut server = Server::new(ServeConfig {
-            workers: 1,
-            batch_slots: 4,
-        });
+    fn tickets_number_in_arrival_order_and_each_query_dispatches_on_arrival() {
+        let mut server = Server::with_workers(1);
         let tickets: Vec<Ticket> = (0..10).map(|i| server.enqueue(spec(vec![i]))).collect();
         for (i, t) in tickets.iter().enumerate() {
             assert_eq!(t.seq(), i as u64);
         }
-        // 10 same-affinity queries with 4 slots: two full batches
-        // auto-flushed, two queries still filling.
+        // No flush: each of the 10 same-affinity queries is already its
+        // own job on the class's home lane.
         let stats = server.stats();
         assert_eq!(stats.enqueued, 10);
-        assert_eq!(stats.full_batches, 2);
-        assert_eq!(stats.max_batch, 4);
+        assert_eq!(stats.batches, 10);
         assert_eq!(stats.affinities, 1);
         server.drain();
         assert_eq!(server.outstanding(), 0);
@@ -663,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn per_query_errors_do_not_poison_the_batch() {
+    fn a_failed_query_leaves_later_queries_untouched() {
         let mut server = Server::with_workers(1);
         let good = server.enqueue(spec(vec![3]));
         let bad = server.enqueue(spec(vec![1 << 40])); // exceeds 8-bit index
@@ -681,7 +599,7 @@ mod tests {
     fn drop_without_drain_resolves_every_ticket() {
         let mut server = Server::with_workers(2);
         let tickets: Vec<Ticket> = (0..5).map(|i| server.enqueue(spec(vec![i]))).collect();
-        drop(server); // never flushed explicitly
+        drop(server); // never drained explicitly
         for t in tickets {
             assert!(t.wait().unwrap().report.validated);
         }
@@ -699,7 +617,6 @@ mod tests {
         };
         let mut server = Server::with_workers(1);
         let t = server.enqueue(s.clone());
-        server.flush();
         let reply = t.wait().unwrap();
         let (values, report) = serial_oracle(&s).unwrap();
         assert_eq!(reply.values, values);
@@ -708,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn same_key_different_tables_never_share_a_batch() {
+    fn same_name_different_tables_never_share_a_class() {
         // Two 8→8-bit tables both named `tone` share a name; each reply
         // must still come from its own table.
         let up = Arc::new(Lut::from_fn("tone", 8, 8, |x| x).unwrap());
@@ -723,7 +640,6 @@ mod tests {
             .collect();
         let mut server = Server::with_workers(1);
         let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
-        server.flush();
         for (s, t) in specs.iter().zip(tickets) {
             let reply = t.wait().unwrap();
             assert_eq!(reply.values, s.lut.apply_all(&s.inputs).unwrap());
@@ -761,7 +677,6 @@ mod tests {
         };
         let mut server = Server::with_workers(1);
         let t = server.enqueue(s.clone());
-        server.flush();
         let reply = t.wait().unwrap();
         assert_eq!(reply.values, lut.apply_all(&inputs).unwrap());
         let (values, report) = serial_oracle(&s).unwrap();

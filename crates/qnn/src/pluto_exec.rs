@@ -17,7 +17,7 @@
 //! graph ([`lenet_layer_shapes`]) rather than hand-maintained MAC
 //! constants.
 
-use crate::gemv::{signed_max, signed_min, GemvPath, QuantLinear};
+use crate::gemv::{GemvPath, QuantLinear};
 use crate::lenet::{binary_dot_reference, LeNet5, Precision};
 use crate::model::{lenet_layer_shapes, sample_batch, QuantModel};
 use crate::requant::Requant;
@@ -705,14 +705,6 @@ pub fn pluto_inference_cost(net: &LeNet5, design: DesignKind) -> (Picos, PicoJou
     let time = Picos::from_ps(model.query_latency(lut_elems).as_ps() * queries / 16);
     let energy = model.query_energy(lut_elems).times(queries);
     (time, energy)
-}
-
-/// Sanity floor used by callers seeding GEMV operands: the registry
-/// instances keep activations well inside the operand range so the
-/// requantization window stays informative.
-#[must_use]
-pub fn operand_range(width: u32) -> std::ops::RangeInclusive<i32> {
-    signed_min(width)..=signed_max(width)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Gamma12 sweep, exactly the PULSAR-style mix — enqueues it in arrival
 //! order, and waits each ticket, spot-checking the replies against the
 //! serial oracle. Prints per-class latency and the server's scheduling
-//! telemetry (batches, occupancy, steals).
+//! telemetry (affinity classes, steals).
 //!
 //! With `--qnn`, replays inference traffic instead: single-sample
 //! quantized MLP forward passes stream through the server as per-layer
@@ -132,9 +132,9 @@ fn qnn_traffic(workers: usize, timing: TimingBackend) -> Result<(), PlutoError> 
     }
     let stats = server.stats();
     println!(
-        "served in {:.1} ms wall: {} batches across {} affinity classes, plan cache {} hit(s)",
+        "served in {:.1} ms wall: {} queries across {} affinity classes, plan cache {} hit(s)",
         start.elapsed().as_secs_f64() * 1e3,
-        stats.batches,
+        stats.enqueued,
         stats.affinities,
         plan_stats().hits
     );
@@ -144,31 +144,24 @@ fn qnn_traffic(workers: usize, timing: TimingBackend) -> Result<(), PlutoError> 
 
 fn main() -> Result<(), PlutoError> {
     let timing = parse_timing();
+    let workers = parse_workers().unwrap_or_else(|| ServeConfig::default().workers);
     if std::env::args().any(|a| a == "--qnn") {
-        let workers = parse_workers().unwrap_or_else(|| ServeConfig::default().workers);
         return qnn_traffic(workers, timing);
     }
     let trace = synthesize_trace(42, timing);
-    let config = ServeConfig {
-        workers: parse_workers().unwrap_or_else(|| ServeConfig::default().workers),
-        batch_slots: 8,
-    };
     println!(
-        "replaying {} queries on {} worker(s), {} slots per affinity batch, {timing} timing",
-        trace.len(),
-        config.workers,
-        config.batch_slots
+        "replaying {} queries on {workers} worker(s), {timing} timing",
+        trace.len()
     );
-    let mut server = Server::new(config);
+    let mut server = Server::with_workers(workers);
 
     // 1. Ingest the whole trace in arrival order. enqueue() never
-    //    blocks; affinity batches auto-flush as they fill.
+    //    blocks; each query starts on its affinity class's home lane.
     let start = Instant::now();
     let tickets: Vec<_> = trace
         .iter()
         .map(|e| server.enqueue(e.spec.clone()))
         .collect();
-    server.flush();
 
     // 2. Wait every ticket in arrival order, folding per-class latency
     //    (time from replay start to that reply, i.e. sojourn under the
@@ -201,9 +194,7 @@ fn main() -> Result<(), PlutoError> {
     for probe in [0usize, 1, 7] {
         let (values, report) = serial_oracle(&trace[probe].spec)?;
         let mut check = Server::with_workers(1);
-        let t = check.enqueue(trace[probe].spec.clone());
-        check.flush();
-        let reply = t.wait()?;
+        let reply = check.enqueue(trace[probe].spec.clone()).wait()?;
         assert_eq!(reply.values, values, "query {probe} vs oracle");
         assert_eq!(reply.report, report, "query {probe} report vs oracle");
     }
@@ -215,14 +206,9 @@ fn main() -> Result<(), PlutoError> {
     for (class, n, ms, ns) in &by_class {
         println!("{class:<14} {n:>7} {ms:>16.2} {ns:>18.1}");
     }
-    let stats = server.stats();
     println!(
-        "\nreplayed in {wall_ms:.1} ms wall: {} batches ({} full, max occupancy {}), \
-         {} affinity classes, {} cross-lane steal(s)",
-        stats.batches,
-        stats.full_batches,
-        stats.max_batch,
-        stats.affinities,
+        "\nreplayed in {wall_ms:.1} ms wall: {} affinity classes, {} cross-lane steal(s)",
+        server.stats().affinities,
         server.steals()
     );
     let plans = plan_stats();

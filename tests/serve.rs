@@ -2,18 +2,20 @@
 //! served outputs and per-query `CostReport`s are bit-identical to the
 //! serial `Session` oracle for any worker count and any seeded-shuffle
 //! arrival order of mixed small-query / large-sweep traffic; tickets
-//! stream back in arrival order; graceful drain never drops a ticket;
-//! and work-stealing activates under skewed lane contention without
-//! perturbing a single bit of output.
+//! stream back in arrival order; a lone query resolves with no flush or
+//! drain; graceful drain never drops a ticket; and work-stealing
+//! activates under skewed lane contention without perturbing a single
+//! bit of output.
 
 use pluto_repro::baselines::WorkloadId;
 use pluto_repro::core::lut::Lut;
-use pluto_repro::core::serve::{serial_oracle, QueryReply, QuerySpec, ServeConfig, Server, Ticket};
+use pluto_repro::core::serve::{serial_oracle, QueryReply, QuerySpec, Server, Ticket};
 use pluto_repro::core::session::ExecConfig;
 use pluto_repro::core::{DesignKind, PlutoError};
 use pluto_repro::workloads::serve_lut;
 use sim_support::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn registry_lut(id: WorkloadId) -> Arc<Lut> {
     Arc::new(serve_lut(id).unwrap_or_else(|| panic!("{id:?} serves a single LUT")))
@@ -56,11 +58,8 @@ fn shuffled(mut specs: Vec<QuerySpec>, seed: u64) -> Vec<QuerySpec> {
     specs
 }
 
-fn serve_all(specs: &[QuerySpec], workers: usize, batch_slots: usize) -> Vec<QueryReply> {
-    let mut server = Server::new(ServeConfig {
-        workers,
-        batch_slots,
-    });
+fn serve_all(specs: &[QuerySpec], workers: usize) -> Vec<QueryReply> {
+    let mut server = Server::with_workers(workers);
     let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
     server.drain();
     tickets
@@ -74,7 +73,7 @@ fn served_results_are_bit_identical_to_the_serial_oracle_for_any_worker_count() 
     let specs = mixed_traffic(7);
     let oracle: Vec<_> = specs.iter().map(|s| serial_oracle(s).unwrap()).collect();
     for workers in [1usize, 2, 4] {
-        let replies = serve_all(&specs, workers, 4);
+        let replies = serve_all(&specs, workers);
         for (i, ((values, report), reply)) in oracle.iter().zip(&replies).enumerate() {
             assert_eq!(&reply.values, values, "workers={workers} query {i}: values");
             assert_eq!(&reply.report, report, "workers={workers} query {i}: report");
@@ -87,11 +86,11 @@ fn served_results_are_bit_identical_to_the_serial_oracle_for_any_worker_count() 
 fn seeded_shuffle_arrival_orders_do_not_perturb_any_query() {
     let base = mixed_traffic(11);
     // The oracle is a property of the spec alone, so however arrival
-    // order, batching, worker count, and stealing interleave execution,
+    // order, worker count, and stealing interleave execution,
     // each query's reply must match its own oracle bit-for-bit.
     for (shuffle_seed, workers) in [(1u64, 1usize), (2, 2), (3, 4), (4, 4)] {
         let specs = shuffled(base.clone(), shuffle_seed);
-        let replies = serve_all(&specs, workers, 3);
+        let replies = serve_all(&specs, workers);
         for (i, (spec, reply)) in specs.iter().zip(&replies).enumerate() {
             let (values, report) = serial_oracle(spec).unwrap();
             assert_eq!(
@@ -123,13 +122,40 @@ fn tickets_stream_in_arrival_order() {
     }
 }
 
+/// One query, then neither `flush` nor `drain`: the ticket must resolve
+/// on its own. Polled against a deadline, so a server that never
+/// dispatches it fails here instead of hanging the suite.
 #[test]
-fn drain_resolves_every_ticket_including_unflushed_partial_batches() {
+fn a_lone_query_resolves_without_flush_or_drain() {
+    let spec = QuerySpec {
+        config: ExecConfig::measurement(DesignKind::Gmc),
+        lut: registry_lut(WorkloadId::Add4),
+        inputs: vec![1, 2, 3],
+    };
+    let (values, report) = serial_oracle(&spec).unwrap();
+    for workers in [1usize, 2] {
+        let mut server = Server::with_workers(workers);
+        let ticket = server.enqueue(spec.clone());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let reply = loop {
+            if let Some(outcome) = ticket.try_wait() {
+                break outcome.expect("query served");
+            }
+            assert!(
+                Instant::now() < deadline,
+                "workers={workers}: a lone query was not served within 10 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(reply.values, values, "workers={workers}: values");
+        assert_eq!(reply.report, report, "workers={workers}: report");
+    }
+}
+
+#[test]
+fn drain_resolves_every_ticket_and_leaves_the_server_usable() {
     let specs = mixed_traffic(3);
-    let mut server = Server::new(ServeConfig {
-        workers: 2,
-        batch_slots: 1000, // nothing auto-flushes; drain must flush
-    });
+    let mut server = Server::with_workers(2);
     let tickets: Vec<Ticket> = specs.iter().map(|s| server.enqueue(s.clone())).collect();
     assert_eq!(server.outstanding(), specs.len() as u64);
     server.drain();
@@ -177,20 +203,14 @@ fn stealing_activates_under_contention_and_changes_nothing() {
         .map(|i| serial_oracle(&sweep(i)).unwrap())
         .collect();
 
-    // All sweep batches share one affinity, so they all home on lane 0;
-    // worker 1's lane stays empty and every batch it executes is a
+    // All sweep queries share one affinity, so they all home on lane 0;
+    // worker 1's lane stays empty and every query it executes is a
     // steal. The OS scheduler decides when worker 1 wakes, so repeat
     // contended rounds (bounded) until the counter moves.
     let mut server = Server::with_workers(2);
     let mut rounds = 0;
     while server.steals() == 0 && rounds < 100 {
-        let tickets: Vec<Ticket> = (0..8u64)
-            .map(|i| {
-                let t = server.enqueue(sweep(i));
-                server.flush(); // one batch per query: 8 stealable items
-                t
-            })
-            .collect();
+        let tickets: Vec<Ticket> = (0..8u64).map(|i| server.enqueue(sweep(i))).collect();
         for (i, t) in tickets.into_iter().enumerate() {
             let reply = t.wait().expect("sweep served");
             let (values, report) = &oracle[i];
@@ -253,7 +273,7 @@ fn mixed_qnn_and_tonemap_traffic_survives_any_arrival_order() {
     }
     for (shuffle_seed, workers) in [(1u64, 2usize), (2, 4)] {
         let shuffled_specs = shuffled(specs.clone(), shuffle_seed);
-        let replies = serve_all(&shuffled_specs, workers, 3);
+        let replies = serve_all(&shuffled_specs, workers);
         for (i, (spec, reply)) in shuffled_specs.iter().zip(&replies).enumerate() {
             let (values, report) = serial_oracle(spec).unwrap();
             assert_eq!(
