@@ -33,6 +33,9 @@ PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_
 echo "==> Cache residency (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses)"
 PLUTO_QUICK=1 cargo test -q --test cache_residency
 
+echo "==> Worker-pool soak (tests/serve.rs + tests/cluster.rs + deque/cluster/serve unit tests, 5 rounds; a hang fails the step)"
+timeout 600 bash -c 'set -euo pipefail; for round in 1 2 3 4 5; do PLUTO_QUICK=1 cargo test -q --test serve --test cluster; PLUTO_QUICK=1 cargo test -q -p pluto-core --lib -- deque:: cluster:: serve::; done'
+
 echo "==> Session API quickstart (examples/session.rs)"
 cargo run --release --quiet --example session
 

@@ -14,12 +14,14 @@
 //!
 //! Scheduling runs on per-worker work-stealing deques
 //! (the crate-internal `deque::StealDeques`): batch shards are dealt round-robin
-//! across worker lanes, the streaming [`crate::serve::Server`] injects
+//! across worker lanes, the streaming [`crate::serve::Server`] pushes
 //! each query onto its affinity class's home lane, and an idle worker
 //! steals from the back of a busy lane — so a small latency-sensitive
-//! serve query never waits behind another lane's large sweep. The same
-//! worker pool executes both job flavors (the internal `Job` enum),
-//! sharing one per-configuration machine pool.
+//! serve query never waits behind another lane's large sweep. The pool
+//! has one unit of work, the crate-internal `Job`: a closure that runs
+//! on the popping worker's machine pool and sends its own result on its
+//! own channel. A batch shard and a serve query are both such closures,
+//! and `run_pooled` is the one place a workload panic is caught.
 //!
 //! Three properties make the pool safe to put under every figure sweep:
 //!
@@ -28,10 +30,11 @@
 //!    see [`crate::PlutoMachine::reset`]), so a job's [`CostReport`] does
 //!    not depend on which worker ran it, what ran before it, or how many
 //!    workers exist.
-//! 2. **Deterministic ordering.** Results are reassembled by submission
-//!    index, and sharded jobs reduce their shard reports in ascending
-//!    shard order ([`CostReport::absorb`]), fixing the floating-point
-//!    summation order.
+//! 2. **Deterministic ordering.** Each shard replies on its own channel,
+//!    [`Cluster::run`] receives them in submission order, and sharded
+//!    jobs reduce their shard reports in ascending shard order
+//!    ([`CostReport::absorb`]), fixing the floating-point summation
+//!    order.
 //! 3. **Machine pooling.** Workers keep one [`Session`] (and therefore
 //!    one machine) per distinct *effective* configuration — the
 //!    submitted [`ExecConfig`] with its subarray floor raised to the
@@ -74,7 +77,7 @@
 //! # }
 //! ```
 
-use crate::deque::{Pop, StealDeques};
+use crate::deque::StealDeques;
 use crate::error::PlutoError;
 use crate::session::{CostReport, ExecConfig, Session, Workload};
 use sim_support::{SeedableRng, StdRng};
@@ -82,39 +85,19 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 
-/// One queued unit of work: a shard of a submitted job.
-pub(crate) struct ShardJob {
-    /// Submission index within the current batch.
-    seq: usize,
-    /// Shard index within the submission.
-    shard: usize,
-    config: ExecConfig,
-    workload: Box<dyn Workload>,
-}
+/// A worker's keyed machine pool: one live [`Session`] (machine +
+/// config) per distinct effective [`ExecConfig`] the worker has run.
+pub(crate) type Pool = HashMap<ExecConfig, Session>;
 
-/// What a worker can pull off a deque lane: a batch-mode shard (the
-/// `submit`/`run` path) or a streaming serve query injected by
-/// [`crate::serve::Server`]. Both run on the same per-worker machine
-/// pool, so a serve query lands on sessions the batch path warmed and
-/// vice versa.
-pub(crate) enum Job {
-    /// A shard of a submitted batch job; its result flows back through
-    /// the cluster's result channel.
-    Shard(ShardJob),
-    /// One serve query; its result flows back through its own ticket's
-    /// reply channel.
-    Serve(crate::serve::ServeJob),
-}
+/// The pool's one unit of work: a closure the popping worker runs on its
+/// own [`Pool`], which sends its result on a channel it owns. A batch
+/// shard replies to [`Cluster::run`], a serve query to its ticket. A job
+/// dropped unrun (the pool shut down) drops that sender, so its receiver
+/// sees a disconnect rather than waiting forever.
+pub(crate) type Job = Box<dyn FnOnce(&mut Pool) + Send>;
 
-/// Book-keeping for one submitted job until all its shards report back.
-#[derive(Debug)]
-struct PendingJob {
-    /// One slot per shard, filled as results arrive (any completion
-    /// order), reduced in shard order.
-    shards: Vec<Option<Result<CostReport, PlutoError>>>,
-}
-
-type ShardResult = (usize, usize, Result<CostReport, PlutoError>);
+/// The reply channel of one batch shard.
+type ShardReply = mpsc::Receiver<Result<CostReport, PlutoError>>;
 
 /// A pool of worker threads executing [`Session`] jobs in parallel with
 /// serial-identical results. See the [module docs](self) for the
@@ -125,26 +108,21 @@ type ShardResult = (usize, usize, Result<CostReport, PlutoError>);
 /// binary can reuse one cluster for every sweep it prints — and the
 /// streaming [`crate::serve::Server`] front-end reuses the same pool for
 /// its query traffic.
-#[derive(Debug)]
 pub struct Cluster {
     deques: Arc<StealDeques<Job>>,
-    results: mpsc::Receiver<ShardResult>,
     workers: Vec<JoinHandle<()>>,
-    pending: Vec<PendingJob>,
+    /// One reply receiver per shard, per submission since the last run.
+    pending: Vec<Vec<ShardReply>>,
     /// Round-robin cursor for dealing batch shards across lanes.
     next_lane: usize,
 }
 
-impl std::fmt::Debug for Job {
+impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Job::Shard(s) => f
-                .debug_struct("Job::Shard")
-                .field("seq", &s.seq)
-                .field("shard", &s.shard)
-                .finish_non_exhaustive(),
-            Job::Serve(_) => f.debug_struct("Job::Serve").finish_non_exhaustive(),
-        }
+        f.debug_struct("Cluster")
+            .field("workers", &self.workers.len())
+            .field("pending", &self.pending.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -156,20 +134,17 @@ impl Cluster {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let deques: Arc<StealDeques<Job>> = Arc::new(StealDeques::new(workers));
-        let (tx, rx) = mpsc::channel();
         let handles = (0..workers)
             .map(|i| {
                 let deques = Arc::clone(&deques);
-                let tx = tx.clone();
                 thread::Builder::new()
                     .name(format!("pluto-cluster-{i}"))
-                    .spawn(move || worker_main(&deques, i, &tx))
+                    .spawn(move || worker_main(&deques, i))
                     .expect("spawning cluster worker")
             })
             .collect();
         Cluster {
             deques,
-            results: rx,
             workers: handles,
             pending: Vec::new(),
             next_lane: 0,
@@ -234,49 +209,44 @@ impl Cluster {
         shard: bool,
     ) -> usize {
         let seq = self.pending.len();
-        let shards = if shard {
+        let mut shards = if shard {
             let mut rng = StdRng::seed_from_u64(config.seed);
             workload.prepare(&mut rng);
             workload.shards()
         } else {
             Vec::new()
         };
-        let jobs: Vec<ShardJob> = if shards.len() >= 2 {
-            shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, w)| ShardJob {
-                    seq,
-                    shard: i,
-                    config: config.clone(),
-                    workload: w,
-                })
-                .collect()
-        } else {
-            vec![ShardJob {
-                seq,
-                shard: 0,
-                config,
-                workload,
-            }]
-        };
-        self.pending.push(PendingJob {
-            shards: (0..jobs.len()).map(|_| None).collect(),
-        });
+        if shards.len() < 2 {
+            shards = vec![workload];
+        }
         // Deal shards round-robin across worker lanes; idle workers
         // steal across lanes, so the exact dealing only seeds locality.
-        for job in jobs {
+        let mut replies = Vec::with_capacity(shards.len());
+        for mut workload in shards {
+            let (tx, rx) = mpsc::channel();
+            let config = config.clone();
+            replies.push(rx);
             let lane = self.next_lane;
             self.next_lane = (self.next_lane + 1) % self.deques.lanes();
-            self.deques.push(lane, Job::Shard(job));
+            self.push(
+                lane,
+                Box::new(move |pool: &mut Pool| {
+                    // The receiver is gone only if the cluster was
+                    // dropped before `run` collected this batch.
+                    let _ = tx.send(run_pooled(pool, config, workload.as_mut()));
+                }),
+            );
         }
+        self.pending.push(replies);
         seq
     }
 
-    /// Pushes a serve query onto worker `lane`'s deque (used by
-    /// [`crate::serve::Server`], which owns the lane-affinity mapping).
-    pub(crate) fn inject_serve(&self, lane: usize, job: crate::serve::ServeJob) {
-        self.deques.push(lane, Job::Serve(job));
+    /// Pushes `job` onto worker `lane`'s deque: the serve path's entry
+    /// ([`crate::serve::Server`] owns the lane-affinity mapping) and the
+    /// batch path's. After the pool has shut down the job is dropped
+    /// unrun, which disconnects its reply channel.
+    pub(crate) fn push(&mut self, lane: usize, job: Job) {
+        self.deques.push(lane, job);
     }
 
     /// Submits every workload of a batch under one configuration and
@@ -306,41 +276,34 @@ impl Cluster {
     /// jobs of the batch still ran to completion. A workload that
     /// *panics* on a worker is caught and reported as
     /// [`PlutoError::WorkerPanic`]; the worker (and the cluster) stay
-    /// usable. If the worker pool itself dies with shards outstanding
-    /// (every worker thread exited), the missing shards are reported as
-    /// [`PlutoError::WorkerLost`] instead of hanging the caller.
+    /// usable. A shard whose job was dropped before it ran (the pool had
+    /// shut down) is reported as [`PlutoError::WorkerLost`] instead of
+    /// hanging the caller.
     pub fn run(&mut self) -> Result<Vec<CostReport>, PlutoError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut outstanding: usize = pending.iter().map(|p| p.shards.len()).sum();
-        while outstanding > 0 {
-            match self.results.recv() {
-                Ok((seq, shard, outcome)) => {
-                    pending[seq].shards[shard] = Some(outcome);
-                    outstanding -= 1;
-                }
-                Err(_) => {
-                    // Every worker's sender is gone: the pool died with
-                    // shards outstanding. Fill the holes so the batch
-                    // degrades to an error instead of blocking forever.
-                    let reason = format!(
-                        "cluster result channel closed with {outstanding} shard(s) outstanding"
-                    );
-                    for job in &mut pending {
-                        for slot in &mut job.shards {
-                            if slot.is_none() {
-                                *slot = Some(Err(PlutoError::WorkerLost {
-                                    reason: reason.clone(),
-                                }));
-                            }
-                        }
-                    }
-                    break;
-                }
+        let pending = std::mem::take(&mut self.pending);
+        let mut outstanding: usize = pending.iter().map(Vec::len).sum();
+        // Receive every shard before reducing any, so no job of this
+        // batch is still running when `run` returns, even on an error. A
+        // shard whose job was dropped unrun (the pool shut down) has a
+        // disconnected channel: it degrades to an error, not a hang.
+        let mut outcomes = Vec::with_capacity(pending.len());
+        for replies in pending {
+            let mut shards = Vec::with_capacity(replies.len());
+            for reply in replies {
+                shards.push(reply.recv().unwrap_or_else(|_| {
+                    Err(PlutoError::WorkerLost {
+                        reason: format!(
+                            "a shard job was dropped unrun with {outstanding} shard(s) outstanding"
+                        ),
+                    })
+                }));
+                outstanding -= 1;
             }
+            outcomes.push(shards);
         }
-        let mut reports = Vec::with_capacity(pending.len());
-        for job in pending {
-            let mut shards = job.shards.into_iter().map(|s| s.expect("shard accounted"));
+        let mut reports = Vec::with_capacity(outcomes.len());
+        for shards in outcomes {
+            let mut shards = shards.into_iter();
             let mut reduced = shards.next().expect("jobs have at least one shard")?;
             for shard in shards {
                 reduced.absorb(&shard?);
@@ -350,8 +313,9 @@ impl Cluster {
         Ok(reports)
     }
 
-    /// Test hook: shut the worker pool down (discarding queued jobs) so
-    /// the degraded-pool paths can be exercised deterministically.
+    /// Test hook: shut the worker pool down (dropping queued jobs, and
+    /// every job pushed later) so the degraded-pool paths can be
+    /// exercised deterministically.
     #[cfg(test)]
     pub(crate) fn kill_workers(&mut self) {
         self.deques.close();
@@ -375,47 +339,17 @@ pub fn default_workers() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn worker_main(deques: &StealDeques<Job>, lane: usize, results: &mpsc::Sender<ShardResult>) {
-    // The keyed machine pool: one live Session (machine + config) per
-    // distinct ExecConfig this worker has executed. Sessions reset their
-    // machine in place between runs, so repeat configurations never pay
-    // machine construction again. Batch shards and serve queries share
-    // the pool.
-    let mut pool: HashMap<ExecConfig, Session> = HashMap::new();
-    loop {
-        let job = match deques.pop(lane) {
-            Pop::Item { item, .. } => item,
-            Pop::Closed => return,
-        };
-        match job {
-            Job::Shard(job) => {
-                // Contain workload panics: report the job failed and keep
-                // the worker alive, so `Cluster::run` surfaces an error
-                // instead of deadlocking on a shard that never reports.
-                let (seq, shard) = (job.seq, job.shard);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_shard(&mut pool, job.config, job.workload)
-                }))
-                .unwrap_or_else(|payload| {
-                    // A panic may have left the pooled sessions
-                    // mid-mutation; drop them (the next job rebuilds its
-                    // machine).
-                    pool.clear();
-                    Err(PlutoError::WorkerPanic {
-                        reason: panic_message(payload.as_ref()),
-                    })
-                });
-                if results.send((seq, shard, outcome)).is_err() {
-                    return; // cluster handle dropped
-                }
-            }
-            // Replies on the query's own ticket and contains its panic.
-            Job::Serve(job) => crate::serve::execute(&mut pool, job),
-        }
+fn worker_main(deques: &StealDeques<Job>, lane: usize) {
+    // Sessions reset their machine in place between runs, so repeat
+    // configurations never pay machine construction again. Batch shards
+    // and serve queries share the pool.
+    let mut pool = Pool::new();
+    while let Some(job) = deques.pop(lane) {
+        job(&mut pool);
     }
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -425,41 +359,50 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_shard(
-    pool: &mut HashMap<ExecConfig, Session>,
-    config: ExecConfig,
-    mut workload: Box<dyn Workload>,
-) -> Result<CostReport, PlutoError> {
-    // Pool by the *effective* configuration — the subarray floor raised
-    // to the workload's demand, exactly what `Session::run` sizes its
-    // machine to. Keying on the raw config would make the session
-    // rebuild its machine whenever consecutive jobs' `min_subarrays`
-    // differ; keying on the effective one lets every repeat geometry
-    // take the reset path. Reports are unaffected: the session's run
-    // applies the same widening either way.
-    let mut effective = config;
-    effective.subarrays_per_bank = effective.subarrays_per_bank.max(workload.min_subarrays());
-    run_pooled(pool, &effective, workload.as_mut())
-}
-
-/// Runs `workload` on the worker's pooled [`Session`] for `config`
+/// Runs `workload` under `config` on the worker's pooled [`Session`]
 /// (built on first use) — the one pool lookup batch shards and serve
-/// queries share. `config` must already be effective, so repeat
-/// geometries take [`Session::run`]'s cheap reset path.
+/// queries share.
+///
+/// The pool is keyed by the *effective* configuration — the subarray
+/// floor raised to the workload's demand, exactly what `Session::run`
+/// sizes its machine to. Keying on the raw config would make the session
+/// rebuild its machine whenever consecutive jobs' `min_subarrays`
+/// differ; keying on the effective one lets every repeat geometry take
+/// the reset path. Reports are unaffected: the session's run applies the
+/// same widening either way.
+///
+/// This is the pool's one panic boundary, and every call into workload
+/// code sits inside it: a workload that panics is reported as
+/// [`PlutoError::WorkerPanic`] and the worker keeps serving, so no job's
+/// reply is lost to an unwinding worker.
 pub(crate) fn run_pooled(
-    pool: &mut HashMap<ExecConfig, Session>,
-    config: &ExecConfig,
+    pool: &mut Pool,
+    mut config: ExecConfig,
     workload: &mut dyn Workload,
 ) -> Result<CostReport, PlutoError> {
-    let session = match pool.entry(config.clone()) {
-        Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(v) => v.insert(Session::with_config(config.clone())?),
-    };
-    let report = session.run(workload)?;
-    // Keep pooled sessions lean: the caller, not the session, owns
-    // result aggregation (and `clear_reports` keeps the allocation).
-    session.clear_reports();
-    Ok(report)
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        config.subarrays_per_bank = config.subarrays_per_bank.max(workload.min_subarrays());
+        let session = match pool.entry(config) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let session = Session::with_config(v.key().clone())?;
+                v.insert(session)
+            }
+        };
+        let report = session.run(workload)?;
+        // Keep pooled sessions lean: the caller, not the session, owns
+        // result aggregation (and `clear_reports` keeps the allocation).
+        session.clear_reports();
+        Ok(report)
+    }))
+    .unwrap_or_else(|payload| {
+        // A panic may have left the pooled sessions mid-mutation; drop
+        // them (the next job rebuilds its machine).
+        pool.clear();
+        Err(PlutoError::WorkerPanic {
+            reason: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 #[cfg(test)]

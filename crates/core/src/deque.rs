@@ -19,11 +19,14 @@
 //!
 //! The implementation is deliberately lock-per-lane rather than a
 //! lock-free Chase–Lev deque: the workspace forbids `unsafe`, items are
-//! coarse (whole shard jobs / serve queries, milliseconds of work), and
-//! the contract that matters here is *scheduling behavior* (steal
-//! accounting, wakeups, graceful shutdown), not nanosecond pop latency.
-//! Locks recover from poisoning — a panicking worker must degrade the
-//! pool gracefully, never wedge it (see `PlutoError::WorkerLost`).
+//! coarse (each is one `cluster::Job` closure — a batch shard or a serve
+//! query, milliseconds of work), and the contract that matters here is
+//! *scheduling behavior* (steal accounting, wakeups, shutdown), not
+//! nanosecond pop latency. Locks recover from poisoning — a panicking
+//! worker must degrade the pool gracefully, never wedge it (see
+//! `PlutoError::WorkerLost`). Closing the set drops every queued item and
+//! every item pushed later, so a job that owns its reply channel
+//! disconnects it instead of waiting in a lane no worker reads.
 //!
 //! Scheduling never affects results: every consumer of this module
 //! executes items on per-run-reset machines, so outputs and
@@ -40,24 +43,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// the pool serving.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Outcome of one blocking pop.
-#[derive(Debug)]
-pub(crate) enum Pop<T> {
-    /// An item was obtained; `stolen` is true when it came from another
-    /// worker's lane.
-    Item {
-        /// The dequeued work item.
-        item: T,
-        /// Whether the item was stolen from a non-home lane (consumed by
-        /// the scheduling tests; production callers read the aggregate
-        /// [`StealDeques::steal_count`] instead).
-        #[allow(dead_code)]
-        stolen: bool,
-    },
-    /// The deque set was closed; the worker should exit.
-    Closed,
 }
 
 /// Wakeup/shutdown state shared by all lanes. `queued` counts items
@@ -115,36 +100,46 @@ impl<T> StealDeques<T> {
     }
 
     /// Publishes `item` onto `lane`'s deque (wrapping out-of-range lanes)
-    /// and wakes waiting workers. Non-blocking.
+    /// and wakes one waiting worker. Non-blocking. Once the set is closed
+    /// the item is dropped instead.
+    ///
+    /// The gate is released before the lane is locked, because `pop`
+    /// holds a lane lock while it takes the gate. So a `close` that ran
+    /// between the two steps would strand the item; callers never run
+    /// `push` and `close` concurrently (the owning `Cluster` calls both
+    /// through `&mut self`).
     pub(crate) fn push(&self, lane: usize, item: T) {
-        lock_recover(&self.gate).queued += 1;
+        let mut gate = lock_recover(&self.gate);
+        if !gate.open {
+            return; // `item` drops after the gate guard
+        }
+        gate.queued += 1;
+        drop(gate);
         lock_recover(&self.lanes[lane % self.lanes.len()]).push_back(item);
-        self.available.notify_all();
+        self.available.notify_one();
     }
 
     /// Blocking pop for worker `lane`: its own lane front-first, then a
     /// steal sweep over the other lanes (back-first, round-robin from
-    /// `lane + 1`), then sleep until work arrives or the set is closed.
-    pub(crate) fn pop(&self, lane: usize) -> Pop<T> {
+    /// `lane + 1`), then sleep until work arrives. `None` once the set
+    /// is closed: the worker should exit.
+    pub(crate) fn pop(&self, lane: usize) -> Option<T> {
         loop {
             if let Some(item) = lock_recover(&self.lanes[lane]).pop_front() {
                 self.finish_take();
-                return Pop::Item {
-                    item,
-                    stolen: false,
-                };
+                return Some(item);
             }
             for offset in 1..self.lanes.len() {
                 let victim = (lane + offset) % self.lanes.len();
                 if let Some(item) = lock_recover(&self.lanes[victim]).pop_back() {
                     self.steals.fetch_add(1, Ordering::Relaxed);
                     self.finish_take();
-                    return Pop::Item { item, stolen: true };
+                    return Some(item);
                 }
             }
             let gate = lock_recover(&self.gate);
             if !gate.open {
-                return Pop::Closed;
+                return None;
             }
             if gate.queued > 0 {
                 // A producer won the race between our scan and this
@@ -164,10 +159,10 @@ impl<T> StealDeques<T> {
         gate.queued = gate.queued.saturating_sub(1);
     }
 
-    /// Closes the set: queued items are discarded and every current or
-    /// future [`StealDeques::pop`] returns [`Pop::Closed`]. Callers that
-    /// need graceful draining wait for completions *before* closing (the
-    /// serve path's `drain`).
+    /// Closes the set: queued items are dropped, later pushes drop their
+    /// item, and every current or future [`StealDeques::pop`] returns
+    /// `None`. Callers that need graceful draining wait for completions
+    /// *before* closing (the serve path's `drain`).
     pub(crate) fn close(&self) {
         let discarded: usize = self
             .lanes
@@ -190,7 +185,7 @@ impl<T> StealDeques<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
 
     #[test]
@@ -200,21 +195,10 @@ mod tests {
         d.push(0, 2);
         d.push(0, 3);
         // Owner consumes arrival order.
-        match d.pop(0) {
-            Pop::Item { item, stolen } => {
-                assert_eq!(item, 1);
-                assert!(!stolen);
-            }
-            Pop::Closed => panic!("closed"),
-        }
+        assert_eq!(d.pop(0), Some(1));
+        assert_eq!(d.steal_count(), 0, "an owner's pop is no steal");
         // A thief takes the newest item — the one that would wait longest.
-        match d.pop(1) {
-            Pop::Item { item, stolen } => {
-                assert_eq!(item, 3);
-                assert!(stolen);
-            }
-            Pop::Closed => panic!("closed"),
-        }
+        assert_eq!(d.pop(1), Some(3));
         assert_eq!(d.steal_count(), 1);
         assert_eq!(d.queued(), 1);
     }
@@ -224,7 +208,7 @@ mod tests {
         let d: Arc<StealDeques<u32>> = Arc::new(StealDeques::new(1));
         let sleeper = {
             let d = Arc::clone(&d);
-            thread::spawn(move || matches!(d.pop(0), Pop::Closed))
+            thread::spawn(move || d.pop(0).is_none())
         };
         // Give the sleeper a moment to block, then close underneath it.
         thread::sleep(std::time::Duration::from_millis(10));
@@ -232,11 +216,23 @@ mod tests {
         d.push(0, 8);
         d.close();
         // The items pushed before close may or may not have been taken;
-        // after close, pops always report Closed and the discarded items
+        // after close, pops always report `None` and the discarded items
         // no longer count as queued.
-        assert!(matches!(d.pop(0), Pop::Closed));
+        assert_eq!(d.pop(0), None);
         let _ = sleeper.join().unwrap();
         assert!(d.queued() <= 1);
+    }
+
+    #[test]
+    fn a_push_after_close_drops_its_item() {
+        let d: StealDeques<mpsc::Sender<()>> = StealDeques::new(2);
+        d.close();
+        let (tx, rx) = mpsc::channel();
+        d.push(1, tx);
+        // The sender was dropped, not queued: its receiver disconnects.
+        assert!(rx.recv().is_err());
+        assert_eq!(d.queued(), 0);
+        assert!(d.pop(0).is_none());
     }
 
     #[test]
@@ -248,12 +244,10 @@ mod tests {
                 let d = Arc::clone(&d);
                 thread::spawn(move || {
                     let mut sum = 0u64;
-                    loop {
-                        match d.pop(lane) {
-                            Pop::Item { item, .. } => sum += item,
-                            Pop::Closed => return sum,
-                        }
+                    while let Some(item) = d.pop(lane) {
+                        sum += item;
                     }
+                    sum
                 })
             })
             .collect();

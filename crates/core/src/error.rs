@@ -44,19 +44,17 @@ pub enum PlutoError {
         /// Explanation of the violation.
         reason: String,
     },
-    /// The LUT store was used after its contents were destroyed (GSA
-    /// destructive sweep without reload).
-    LutDestroyed,
     /// A cluster worker caught a panic while executing a workload (the
     /// job is reported failed; the worker and its pool stay usable).
     WorkerPanic {
         /// The panic payload, stringified.
         reason: String,
     },
-    /// A worker thread died (or its result channel closed) with work
-    /// outstanding — the batch/query cannot complete. Surfaced instead of
-    /// hanging or unwrapping a poisoned lock, so callers degrade
-    /// gracefully when the pool is gone.
+    /// A job was dropped before it could reply (the worker pool had shut
+    /// down), so its reply channel closed with work outstanding — the
+    /// batch/query cannot complete. Surfaced instead of hanging or
+    /// unwrapping a poisoned lock, so callers degrade gracefully when the
+    /// pool is gone.
     WorkerLost {
         /// What was observed (which channel closed, how many results
         /// were still outstanding).
@@ -81,12 +79,6 @@ impl fmt::Display for PlutoError {
             }
             PlutoError::AllocationFailed { reason } => write!(f, "allocation failed: {reason}"),
             PlutoError::InvalidProgram { reason } => write!(f, "invalid program: {reason}"),
-            PlutoError::LutDestroyed => {
-                write!(
-                    f,
-                    "LUT contents were destroyed by a GSA sweep and not reloaded"
-                )
-            }
             PlutoError::WorkerPanic { reason } => {
                 write!(f, "a cluster worker panicked while running a job: {reason}")
             }

@@ -632,7 +632,7 @@ fn issue_lane(
     if design.reload_per_query() {
         store.reload_transient(engine)?;
     } else {
-        store.ensure_ready(engine, design)?;
+        store.ensure_ready(engine)?;
     }
     // Phase 1: latch the (global) input vector.
     engine.activate(src_loc)?;

@@ -93,8 +93,6 @@ pub(crate) struct PlanKey {
     /// Destination sharing the source subarray reorders the closing
     /// precharge, which reorders the f64 energy additions.
     dest_is_source: bool,
-    /// Residency at query entry (a stale store reloads before sweeping).
-    loaded: bool,
 }
 
 impl PlanKey {
@@ -137,7 +135,6 @@ impl PlanKey {
             reload_hops: store.master().0.abs_diff(store.subarray().0),
             out_hops,
             dest_is_source,
-            loaded: store.is_loaded(),
         }
     }
 }

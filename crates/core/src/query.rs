@@ -297,7 +297,7 @@ impl<'e> QueryExecutor<'e> {
         if self.design.reload_per_query() {
             store.reload(self.engine)?;
         } else {
-            store.ensure_ready(self.engine, self.design)?;
+            store.ensure_ready(self.engine)?;
         }
         let clock_r = self.engine.elapsed();
         let energy_r = self.engine.command_energy();
@@ -431,7 +431,7 @@ impl<'e> QueryExecutor<'e> {
         if self.design.reload_per_query() {
             store.reload(self.engine)?;
         } else {
-            store.ensure_ready(self.engine, self.design)?;
+            store.ensure_ready(self.engine)?;
         }
         let clock_r = self.engine.elapsed();
         let energy_r = self.engine.command_energy();

@@ -13,7 +13,8 @@
 //! heavyweight sweeps on one substrate.
 //!
 //! The pipeline (ingestion → affinity lanes → work-stealing deques →
-//! per-ticket replies):
+//! per-ticket replies); each query travels it as one job closure on the
+//! [`Cluster`]'s pool:
 //!
 //! 1. **Ingestion.** [`Server::enqueue`] is non-blocking: it hands back a
 //!    [`Ticket`] immediately; the caller later blocks on
@@ -26,14 +27,15 @@
 //!    sized for them, and repeat LUTs hit the process-wide packed-row
 //!    cache ([`crate::store`]). Each class has a *home lane*, assigned
 //!    round-robin in first-appearance order (deterministic, no hash
-//!    iteration), and `enqueue` injects the query onto it as one job at
+//!    iteration), and `enqueue` pushes the query onto it as one job at
 //!    once: nothing waits for a batch to fill or for a flush.
 //! 3. **Work-stealing dispatch.** An idle worker steals from the back of
 //!    a busy lane, so a small query never queues behind another lane's
 //!    in-flight sweep (the crate-internal `deque` module).
-//! 4. **Per-ticket replies.** Every query owns an `mpsc` reply channel
-//!    and replies the moment it completes; a dropped worker resolves its
-//!    tickets with [`PlutoError::WorkerLost`] instead of leaving the
+//! 4. **Per-ticket replies.** Every query's job owns its ticket's `mpsc`
+//!    reply channel and replies the moment it completes; a job dropped
+//!    unrun (the pool has shut down) disconnects it, resolving the
+//!    ticket with [`PlutoError::WorkerLost`] instead of leaving the
 //!    caller hanging.
 //!
 //! **Determinism contract.** Each query runs as its own
@@ -71,7 +73,7 @@
 //! # }
 //! ```
 
-use crate::cluster::{default_workers, panic_message, run_pooled, Cluster};
+use crate::cluster::{default_workers, run_pooled, Cluster, Pool};
 use crate::error::PlutoError;
 use crate::lut::Lut;
 use crate::session::{encode_words, CostReport, ExecConfig, Session, Workload};
@@ -129,8 +131,9 @@ impl Ticket {
     /// # Errors
     /// The query's own failure (bad input index, layout mismatch, a
     /// panic caught on the worker as [`PlutoError::WorkerPanic`]), or
-    /// [`PlutoError::WorkerLost`] if the serving worker died before a
-    /// result could be produced — a ticket never blocks forever.
+    /// [`PlutoError::WorkerLost`] if the query's job was dropped before
+    /// it could reply (the pool had shut down) — a ticket never blocks
+    /// forever.
     pub fn wait(self) -> Result<QueryReply, PlutoError> {
         match self.rx.recv() {
             Ok(outcome) => outcome,
@@ -229,27 +232,15 @@ impl Outstanding {
     }
 }
 
-/// Releases its query from the outstanding counter when dropped, so
-/// ticket accounting survives worker panics and discarded jobs alike.
+/// Releases its query from the outstanding counter when dropped. The
+/// query's job owns it, so ticket accounting survives a job that ran and
+/// one dropped unrun alike.
 struct DoneGuard(Arc<Outstanding>);
 
 impl Drop for DoneGuard {
     fn drop(&mut self) {
         self.0.release();
     }
-}
-
-/// One dispatch-ready query — the serve flavor of
-/// [`crate::cluster::Job`]. The executing worker runs it on its pooled
-/// session for the class's effective configuration.
-pub(crate) struct ServeJob {
-    key: AffinityKey,
-    seq: u64,
-    inputs: Vec<u64>,
-    reply: mpsc::Sender<Result<QueryReply, PlutoError>>,
-    /// Accounting guard; dropping the job (normally, on panic, or
-    /// discarded by shutdown) releases its query from `drain`.
-    done: DoneGuard,
 }
 
 /// Identity of an affinity class: queries that share a home lane, a
@@ -367,15 +358,26 @@ impl Server {
             }
         };
         self.stats.batches += 1;
-        self.cluster.inject_serve(
+        let AffinityKey { config, lut } = key;
+        self.cluster.push(
             lane,
-            ServeJob {
-                key,
-                seq,
-                inputs,
-                reply,
-                done,
-            },
+            Box::new(move |pool: &mut Pool| {
+                let mut workload = QueryWorkload {
+                    lut,
+                    inputs,
+                    out: Vec::new(),
+                };
+                let outcome = run_pooled(pool, config, &mut workload);
+                // A dropped ticket (caller gave up) is fine; everyone
+                // else gets their reply before the done-guard releases
+                // the drain barrier.
+                let _ = reply.send(outcome.map(|report| QueryReply {
+                    seq,
+                    values: workload.out,
+                    report,
+                }));
+                drop(done);
+            }),
         );
         Ticket { seq, rx }
     }
@@ -495,48 +497,13 @@ pub fn serial_oracle(spec: &QuerySpec) -> Result<(Vec<u64>, CostReport), PlutoEr
     Ok((workload.out, report))
 }
 
-/// Executes one query on a worker's pooled sessions (called from the
-/// cluster worker loop) and replies on its ticket. A panic in the query
-/// resolves the ticket with [`PlutoError::WorkerPanic`] and drops the
-/// (possibly torn) pooled sessions, so the next job runs on a rebuilt
-/// machine.
-pub(crate) fn execute(pool: &mut HashMap<ExecConfig, Session>, job: ServeJob) {
-    let ServeJob {
-        key: AffinityKey { config, lut },
-        seq,
-        inputs,
-        reply,
-        done,
-    } = job;
-    let mut workload = QueryWorkload {
-        lut,
-        inputs,
-        out: Vec::new(),
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_pooled(pool, &config, &mut workload)
-    }))
-    .unwrap_or_else(|payload| {
-        pool.clear();
-        Err(PlutoError::WorkerPanic {
-            reason: panic_message(payload.as_ref()),
-        })
-    });
-    // A dropped ticket (caller gave up) is fine; everyone else gets
-    // their reply before the done-guard releases the drain barrier.
-    let _ = reply.send(outcome.map(|report| QueryReply {
-        seq,
-        values: workload.out,
-        report,
-    }));
-    drop(done);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lut::catalog;
     use crate::DesignKind;
+    use std::thread;
+    use std::time::{Duration, Instant};
 
     fn spec(inputs: Vec<u64>) -> QuerySpec {
         QuerySpec {
@@ -603,6 +570,82 @@ mod tests {
         for t in tickets {
             assert!(t.wait().unwrap().report.validated);
         }
+    }
+
+    #[test]
+    fn a_query_queued_on_a_dead_pool_resolves_worker_lost() {
+        let mut server = Server::with_workers(2);
+        server.cluster.kill_workers();
+        let ticket = server.enqueue(spec(vec![1]));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let outcome = loop {
+            if let Some(outcome) = ticket.try_wait() {
+                break outcome;
+            }
+            if Instant::now() > deadline {
+                // The query waits in a lane no worker reads, so `drain`
+                // and `Drop` would wait on it forever: fail instead.
+                std::mem::forget(server);
+                panic!("a query on a dead pool did not resolve within 10 s");
+            }
+            thread::sleep(Duration::from_millis(1));
+        };
+        assert!(
+            matches!(outcome, Err(PlutoError::WorkerLost { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(server.outstanding(), 0);
+        server.drain();
+    }
+
+    /// Panics inside a workload.
+    #[derive(Debug)]
+    struct Bomb;
+
+    impl Workload for Bomb {
+        fn id(&self) -> &'static str {
+            "bomb"
+        }
+        fn prepare(&mut self, _rng: &mut StdRng) {}
+        fn run_pluto(&mut self, _session: &mut Session) -> Result<Vec<u8>, PlutoError> {
+            panic!("boom");
+        }
+        fn run_reference(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn input_bytes(&self) -> f64 {
+            1.0
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_worker_serving() {
+        // One worker, so the panic happens between the two queries on the
+        // pool that serves both, under the class's own configuration.
+        let mut server = Server::with_workers(1);
+        let specs = [spec(vec![3, 4]), spec(vec![5, 6])];
+        let first = server.enqueue(specs[0].clone());
+        let (tx, rx) = mpsc::channel();
+        let config = effective_config(specs[0].config.clone(), &specs[0].lut);
+        server.cluster.push(
+            0,
+            Box::new(move |pool: &mut Pool| {
+                let _ = tx.send(run_pooled(pool, config, &mut Bomb));
+            }),
+        );
+        let second = server.enqueue(specs[1].clone());
+        let err = rx.recv().unwrap().unwrap_err();
+        assert!(
+            matches!(err, PlutoError::WorkerPanic { ref reason } if reason.contains("boom")),
+            "{err}"
+        );
+        for (s, t) in specs.iter().zip([first, second]) {
+            let (values, report) = serial_oracle(s).unwrap();
+            let reply = t.wait().unwrap();
+            assert_eq!(reply.values, values);
+            assert_eq!(reply.report, report);
+        }
+        server.drain();
     }
 
     #[test]

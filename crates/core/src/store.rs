@@ -8,7 +8,6 @@
 //! neighbouring subarray and is re-loaded into the pLUTo-enabled subarray
 //! before every query at a cost of `LISA_RBM × N` (Table 1).
 
-use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
 use pluto_dram::{BankId, Engine, RowId, RowLoc, SubarrayId};
@@ -343,22 +342,14 @@ impl LutStore {
         Ok(())
     }
 
-    /// Ensures the store is ready for a query on `design`: reloads first if
-    /// the design destroys LUT data and the store is stale.
+    /// Ensures the store is ready for a query: reloads first if a
+    /// destructive (GSA) sweep left it stale.
     ///
     /// # Errors
     /// Propagates DRAM errors.
-    pub fn ensure_ready(
-        &mut self,
-        engine: &mut Engine,
-        design: DesignKind,
-    ) -> Result<(), PlutoError> {
+    pub fn ensure_ready(&mut self, engine: &mut Engine) -> Result<(), PlutoError> {
         if !self.loaded {
-            if design.reload_per_query() || !design.destructive_reads() {
-                self.reload(engine)?;
-            } else {
-                return Err(PlutoError::LutDestroyed);
-            }
+            self.reload(engine)?;
         }
         Ok(())
     }
@@ -608,7 +599,7 @@ mod tests {
         let mut store =
             LutStore::load(&mut e, lut, BankId(0), SubarrayId(1), SubarrayId(0), 60).unwrap();
         store.mark_destroyed(&mut e).unwrap();
-        store.ensure_ready(&mut e, DesignKind::Gsa).unwrap();
+        store.ensure_ready(&mut e).unwrap();
         assert!(store.is_loaded());
     }
 }

@@ -28,7 +28,7 @@ use pluto_core::{DesignKind, PlutoError};
 use pluto_dram::{PicoJoules, Picos};
 use sim_support::{Rng, SeedableRng, StdRng};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The execution configuration of the QNN kernels: the measurement
 /// geometry with 64 subarrays per bank (enough for the binary-dot and
@@ -156,7 +156,7 @@ impl Workload for BinaryDotWorkload {
         let encoded = encode_i32(&out);
         self.sink
             .lock()
-            .expect("dot sink poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push((self.first_row, out));
         Ok(encoded)
     }
@@ -226,7 +226,7 @@ pub fn binary_dot_cluster(
     let sink: DotSink = Arc::new(Mutex::new(Vec::new()));
     let workload = BinaryDotWorkload::new(a_rows.to_vec(), b_rows.to_vec(), Arc::clone(&sink));
     let report = run_one_sharded(cluster, qnn_exec_config(design), Box::new(workload))?;
-    let mut parts = sink.lock().expect("dot sink poisoned");
+    let mut parts = sink.lock().unwrap_or_else(PoisonError::into_inner);
     parts.sort_by_key(|(first_row, _)| *first_row);
     let out: Vec<i32> = parts.drain(..).flat_map(|(_, vals)| vals).collect();
     Ok((out, report))
@@ -374,7 +374,7 @@ impl Workload for QnnGemvWorkload {
         let encoded = encode_i32(&out);
         if let Some(sink) = &self.sink {
             sink.lock()
-                .expect("gemv sink poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .push((self.rows.start, out));
         }
         Ok(encoded)
@@ -450,7 +450,7 @@ pub fn gemv_cluster(
         Some(Arc::clone(&sink)),
     );
     let report = run_one_sharded(cluster, config, Box::new(workload))?;
-    let mut parts = sink.lock().expect("gemv sink poisoned");
+    let mut parts = sink.lock().unwrap_or_else(PoisonError::into_inner);
     parts.sort_by_key(|(first_row, _)| *first_row);
     let out: Vec<i32> = parts.drain(..).flat_map(|(_, vals)| vals).collect();
     Ok((out, report))
@@ -530,9 +530,7 @@ pub struct QnnMlpWorkload {
     samples: Vec<(u8, Vec<i32>)>,
     path: GemvPath,
     batch: usize,
-    first_sample: usize,
     pinned: bool,
-    sink: Option<DotSink>,
 }
 
 impl QnnMlpWorkload {
@@ -557,9 +555,7 @@ impl QnnMlpWorkload {
             samples: sample_batch(0, samples),
             path: GemvPath::Direct,
             batch: samples,
-            first_sample: 0,
             pinned: false,
-            sink: None,
         }
     }
 
@@ -594,14 +590,8 @@ impl Workload for QnnMlpWorkload {
     fn run_pluto(&mut self, session: &mut Session) -> Result<Vec<u8>, PlutoError> {
         let m = session.machine_mut();
         let mut all = Vec::new();
-        for (i, (_, x)) in self.samples.iter().enumerate() {
-            let logits = self.model.forward_on(m, x, self.path)?;
-            if let Some(sink) = &self.sink {
-                sink.lock()
-                    .expect("mlp sink poisoned")
-                    .push((self.first_sample + i, logits.clone()));
-            }
-            all.extend(logits);
+        for (_, x) in &self.samples {
+            all.extend(self.model.forward_on(m, x, self.path)?);
         }
         Ok(encode_i32(&all))
     }
@@ -633,16 +623,13 @@ impl Workload for QnnMlpWorkload {
         }
         self.samples
             .chunks(1)
-            .enumerate()
-            .map(|(i, chunk)| {
+            .map(|chunk| {
                 Box::new(QnnMlpWorkload {
                     model: Arc::clone(&self.model),
                     samples: chunk.to_vec(),
                     path: self.path,
                     batch: chunk.len(),
-                    first_sample: self.first_sample + i,
                     pinned: true,
-                    sink: self.sink.clone(),
                 }) as Box<dyn Workload>
             })
             .collect()

@@ -17,11 +17,10 @@
 //! not), the source and destination rows, and residency (a second query
 //! on the same machine).
 //!
-//! Three key fields no case can expose, by construction: `reload_hops`
+//! Two key fields no case can expose, by construction: `reload_hops`
 //! (`PartitionedLut` always puts a segment's master copy one subarray
-//! above it), `loaded` (only a GSA lane may start from a stale store, and
-//! GSA reloads before every sweep anyway) and `backend` (a tape also
-//! refuses to replay under another backend, `CostTape::replayable_from`).
+//! above it) and `backend` (a tape also refuses to replay under another
+//! backend, `CostTape::replayable_from`).
 
 use pluto_repro::core::lut::{width_mask, Lut};
 use pluto_repro::core::partition::{PartitionedCost, PartitionedLut};
