@@ -48,7 +48,7 @@ cargo run --release --quiet -p pluto-bench --bin fig07_speedup -- --quick --work
 echo "==> Query-engine throughput guard (benches/query.rs, word-parallel >= 2x scalar packing, warm-plan production store >= 2x issuing)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench query
 
-echo "==> Partitioned-LUT guard (benches/partition.rs, fused §5.6 path — 4-seg query < 2x single, cached load < query)"
+echo "==> Partitioned-LUT guard (benches/partition.rs, fused §5.6 path — 4-seg query < 2x single and exactly 4x its sweep steps, cached load < query)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench partition
 
 echo "==> Serve queue-behavior guard (benches/serve.rs, mixed p99 bounded + plan-cache hits + stealing live)"

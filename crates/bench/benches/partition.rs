@@ -27,6 +27,10 @@
 //! * `routing` — `PlutoMachine::apply` over the same inputs with a
 //!   512-entry (one segment) and a 2048-entry (four segments) LUT: the
 //!   per-call cost callers actually see.
+//!
+//! Before the timed groups, a deterministic gate checks that one
+//! `query` 4-segment query issues exactly 4× the sweep steps of one
+//! single-segment query, on every design.
 
 use pluto_core::lut::{catalog, pack_slots, slots_per_row};
 use pluto_core::partition::PartitionedLut;
@@ -62,58 +66,81 @@ fn small_lut() -> Lut {
     Lut::from_fn("bench512", 9, 16, |x| (x * x) & 0xFFFF).unwrap()
 }
 
+/// The `query` group's 4-segment side: the 2048-entry LUT loaded with
+/// plans off, so every query issues all four lanes.
+fn partitioned4_side() -> (Engine, PartitionedLut, Vec<u64>) {
+    let mut e = bench_engine();
+    let mut part = PartitionedLut::load(&mut e, big_lut(), BankId(0), SubarrayId(2)).unwrap();
+    part.set_use_plans(false);
+    let inputs = (0..128u64).map(|i| (i * 16) % 2048).collect();
+    (e, part, inputs)
+}
+
+fn query_partitioned4(
+    e: &mut Engine,
+    part: &mut PartitionedLut,
+    design: DesignKind,
+    inputs: &[u64],
+    scratch: &mut QueryScratch,
+) -> usize {
+    part.query_with(
+        e,
+        design,
+        SubarrayId(0),
+        SubarrayId(1),
+        inputs,
+        RowId(0),
+        RowId(1),
+        scratch,
+    )
+    .unwrap();
+    scratch.outputs().len()
+}
+
+/// The `query` group's single-segment side: the 512-entry LUT, queried
+/// through [`QueryExecutor`].
+fn single_side() -> (Engine, LutStore, Vec<u64>) {
+    let mut e = bench_engine();
+    let store = LutStore::load(
+        &mut e,
+        small_lut(),
+        BankId(0),
+        SubarrayId(2),
+        SubarrayId(1),
+        0,
+    )
+    .unwrap();
+    let inputs = (0..128u64).map(|i| (i * 4) % 512).collect();
+    (e, store, inputs)
+}
+
+fn query_single(
+    e: &mut Engine,
+    store: &mut LutStore,
+    design: DesignKind,
+    inputs: &[u64],
+    scratch: &mut QueryScratch,
+) -> usize {
+    let placement = QueryPlacement::adjacent(BankId(0), SubarrayId(2));
+    QueryExecutor::new(e, design)
+        .execute_with(store, placement, inputs, RowId(0), RowId(1), scratch)
+        .unwrap();
+    scratch.outputs().len()
+}
+
 fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
     for design in DesignKind::ALL {
-        let inputs: Vec<u64> = (0..128u64).map(|i| (i * 16) % 2048).collect();
-        let mut e = bench_engine();
-        let mut part = PartitionedLut::load(&mut e, big_lut(), BankId(0), SubarrayId(2)).unwrap();
-        part.set_use_plans(false);
+        let (mut e, mut part, inputs) = partitioned4_side();
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("partitioned4/{design}"), |b| {
-            b.iter(|| {
-                part.query_with(
-                    &mut e,
-                    design,
-                    SubarrayId(0),
-                    SubarrayId(1),
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
-                scratch.outputs().len()
-            })
+            b.iter(|| query_partitioned4(&mut e, &mut part, design, &inputs, &mut scratch))
         });
 
-        let inputs: Vec<u64> = (0..128u64).map(|i| (i * 4) % 512).collect();
-        let mut e = bench_engine();
-        let mut store = LutStore::load(
-            &mut e,
-            small_lut(),
-            BankId(0),
-            SubarrayId(2),
-            SubarrayId(1),
-            0,
-        )
-        .unwrap();
-        let placement = QueryPlacement::adjacent(BankId(0), SubarrayId(2));
+        let (mut e, mut store, inputs) = single_side();
         let mut scratch = QueryScratch::new();
         group.bench_function(&format!("single/{design}"), |b| {
-            b.iter(|| {
-                let mut ex = QueryExecutor::new(&mut e, design);
-                ex.execute_with(
-                    &mut store,
-                    placement,
-                    &inputs,
-                    RowId(0),
-                    RowId(1),
-                    &mut scratch,
-                )
-                .unwrap();
-                scratch.outputs().len()
-            })
+            b.iter(|| query_single(&mut e, &mut store, design, &inputs, &mut scratch))
         });
     }
     group.finish();
@@ -268,8 +295,43 @@ fn guard(c: &Criterion) {
     }
 }
 
+/// The deterministic count beside the wall-clock ratio in [`guard`]: one
+/// 4-segment query sweeps exactly 4x the rows of one single-segment
+/// query of the same sweep length. A change that skipped a lane would
+/// pass the timing gate more easily; it fails this one.
+fn sweep_step_guard() {
+    for design in DesignKind::ALL {
+        let mut scratch = QueryScratch::new();
+        let (mut e, mut part, inputs) = partitioned4_side();
+        let before = e.stats().sweep_steps;
+        query_partitioned4(&mut e, &mut part, design, &inputs, &mut scratch);
+        let part_steps = e.stats().sweep_steps - before;
+
+        let (mut e, mut store, inputs) = single_side();
+        let before = e.stats().sweep_steps;
+        query_single(&mut e, &mut store, design, &inputs, &mut scratch);
+        let single_steps = e.stats().sweep_steps - before;
+
+        assert!(
+            single_steps > 0,
+            "single-segment query swept no rows on {design}"
+        );
+        assert_eq!(
+            part_steps,
+            4 * single_steps,
+            "4-segment query swept {part_steps} rows on {design}, not 4x the \
+             single-segment query's {single_steps}"
+        );
+        println!(
+            "guard: {design} 4-segment query swept {part_steps} rows, exactly 4x the \
+             single-segment query's {single_steps}"
+        );
+    }
+}
+
 fn main() {
     let mut c = Criterion::named("partition");
+    sweep_step_guard();
     bench_query(&mut c);
     bench_query_wide(&mut c);
     bench_store_load(&mut c);

@@ -151,12 +151,6 @@ impl Cluster {
         }
     }
 
-    /// Spawns one worker per available CPU (what the figure binaries use
-    /// unless `--workers N` / `PLUTO_WORKERS` overrides it).
-    pub fn with_default_workers() -> Self {
-        Cluster::new(default_workers())
-    }
-
     /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -605,7 +599,6 @@ mod tests {
         fn id(&self) -> &'static str {
             "bomb"
         }
-        fn prepare(&mut self, _rng: &mut StdRng) {}
         fn run_pluto(&mut self, _session: &mut Session) -> Result<Vec<u8>, PlutoError> {
             panic!("boom");
         }

@@ -77,7 +77,6 @@ use crate::cluster::{default_workers, run_pooled, Cluster, Pool};
 use crate::error::PlutoError;
 use crate::lut::Lut;
 use crate::session::{encode_words, CostReport, ExecConfig, Session, Workload};
-use sim_support::StdRng;
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 
@@ -434,6 +433,8 @@ fn effective_config(mut config: ExecConfig, lut: &Lut) -> ExecConfig {
 /// bit-identity with any other execution of the same spec. It always
 /// runs under an [`effective_config`], which already holds the LUT's
 /// subarray demand, so it keeps the default [`Workload::min_subarrays`].
+/// Its inputs arrive fully formed from the caller, so it keeps the
+/// no-op [`Workload::prepare`] too, which makes a query seed-independent.
 struct QueryWorkload {
     lut: Arc<Lut>,
     inputs: Vec<u64>,
@@ -453,11 +454,6 @@ impl std::fmt::Debug for QueryWorkload {
 impl Workload for QueryWorkload {
     fn id(&self) -> &'static str {
         "serve-query"
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        // Inputs arrive fully formed from the caller; nothing to
-        // generate, which is what makes a query seed-independent.
     }
 
     fn run_pluto(&mut self, session: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -606,7 +602,6 @@ mod tests {
         fn id(&self) -> &'static str {
             "bomb"
         }
-        fn prepare(&mut self, _rng: &mut StdRng) {}
         fn run_pluto(&mut self, _session: &mut Session) -> Result<Vec<u8>, PlutoError> {
             panic!("boom");
         }

@@ -380,12 +380,15 @@ pub trait Workload: Send {
     /// Stable identifier (the paper's workload label where applicable).
     fn id(&self) -> &'static str;
 
-    /// (Re)generates the workload's input data. The session passes a
-    /// deterministically seeded RNG ([`ExecConfig::seed`]); the paper
-    /// scenarios pin their own generator seeds instead of drawing from it
-    /// so that figure data stays bit-stable, but custom scenarios are free
-    /// to use `rng`.
-    fn prepare(&mut self, rng: &mut StdRng);
+    /// Fills the workload's input data before a run. The session passes
+    /// an RNG seeded from [`ExecConfig::seed`], which scenarios that draw
+    /// their inputs from it use here.
+    ///
+    /// The default does nothing. The paper scenarios build their inputs
+    /// once, in their constructors, from their own fixed generator seeds:
+    /// figure data stays bit-stable, and since a run only reads its
+    /// inputs, every run of one object measures the same data.
+    fn prepare(&mut self, _rng: &mut StdRng) {}
 
     /// Executes the pLUTo mapping on the session's machine and returns
     /// the serialized output.
@@ -413,14 +416,15 @@ pub trait Workload: Send {
     /// The default implementation returns an empty vector, which marks
     /// the workload as a *single shard*: the cluster runs it whole on one
     /// worker. Shardable scenarios return two or more sub-workloads, each
-    /// carrying a pinned slice of the parent's input (their `prepare`
-    /// must keep that slice rather than regenerate). The cluster calls
-    /// [`Workload::prepare`] on the parent — with the configuration's
-    /// seeded RNG, exactly as a serial run would — *before* sharding, so
-    /// the slices always cover the prepared input state; the
-    /// cluster runs every shard on its own machine and reduces the shard
-    /// [`CostReport`]s — sums of time/energy/activations/bytes, logical
-    /// AND of `validated` — into one report for the submitted job.
+    /// carrying its slice of the parent's input (a scenario that fills
+    /// its inputs in `prepare` must keep a shard's slice there rather
+    /// than refill it). The cluster calls [`Workload::prepare`] on the
+    /// parent — with the configuration's seeded RNG, exactly as a serial
+    /// run would — *before* sharding, so the slices always cover the
+    /// prepared input state; the cluster runs every shard on its own
+    /// machine and reduces the shard [`CostReport`]s — sums of
+    /// time/energy/activations/bytes, logical AND of `validated` — into
+    /// one report for the submitted job.
     ///
     /// The reduced report equals the bit-exact fold of the shard reports
     /// in shard order, so a sharded cluster run is reproducible and
@@ -490,11 +494,6 @@ impl Session {
     /// Mutable access to the machine for direct library calls.
     pub fn machine_mut(&mut self) -> &mut PlutoMachine {
         &mut self.machine
-    }
-
-    /// Consumes the session, returning its machine.
-    pub fn into_machine(self) -> PlutoMachine {
-        self.machine
     }
 
     /// Reports accumulated by [`Session::run`] / [`Session::run_all`], in

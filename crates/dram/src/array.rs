@@ -511,23 +511,6 @@ impl MemoryArray {
         *self.sa(loc.bank, loc.subarray).row_slot(loc.row) = Some(Arc::new(shifted));
         Ok(())
     }
-
-    /// DRISA-style whole-row byte shift ("left" = toward byte 0).
-    ///
-    /// # Errors
-    /// Fails if `loc` is out of bounds.
-    pub fn shift_row_bytes(
-        &mut self,
-        loc: RowLoc,
-        left: bool,
-        amount: usize,
-    ) -> Result<(), DramError> {
-        self.check(loc)?;
-        let data = self.row(loc)?;
-        let shifted = shift_bytes(&data, left, amount);
-        *self.sa(loc.bank, loc.subarray).row_slot(loc.row) = Some(Arc::new(shifted));
-        Ok(())
-    }
 }
 
 /// Validates a `count`-row range starting at `first` within one
@@ -560,84 +543,11 @@ fn check_row_range(
     Ok(Some(count))
 }
 
-/// Reads a `width`-bit big-endian field starting at bit `bit` of a row
-/// (bit 0 is the MSB of byte 0 — the whole-row bit-string convention of
-/// the DRISA shifts and the pLUTo slot layout).
-///
-/// The field is extracted with one aligned 64-bit window load instead of
-/// a per-bit loop. This is the standalone random-access accessor for row
-/// fields; `pluto-core`'s bulk slot packing streams whole rows through
-/// its own 64-bit accumulator and shares only the [`MAX_FIELD_BITS`]
-/// width bound. Bytes past the end of `row` read as zero, so fields
-/// ending on the last bits of a row need no special casing.
-///
-/// # Panics
-/// Panics if `width` is 0 or > 57 (the widest field whose 64-bit window
-/// still covers every starting bit-in-byte offset), or if the field
-/// extends past the end of the row.
-pub fn word_at_bit(row: &[u8], bit: usize, width: u32) -> u64 {
-    assert!(
-        (1..=MAX_FIELD_BITS).contains(&width),
-        "field width {width} outside 1..={MAX_FIELD_BITS}"
-    );
-    assert!(
-        bit + width as usize <= row.len() * 8,
-        "field [{bit}, {}) extends past the {}-bit row",
-        bit + width as usize,
-        row.len() * 8
-    );
-    let start = bit / 8;
-    let mut window = [0u8; 8];
-    let take = (row.len() - start).min(8);
-    window[..take].copy_from_slice(&row[start..start + take]);
-    let word = u64::from_be_bytes(window);
-    let shift = 64 - (bit % 8) as u32 - width;
-    (word >> shift) & field_mask(width)
-}
-
-/// Writes a `width`-bit big-endian field starting at bit `bit` of a row
-/// (inverse of [`word_at_bit`]; same conventions and limits).
-///
-/// # Panics
-/// Panics under the same conditions as [`word_at_bit`], or if `value` does
-/// not fit in `width` bits.
-pub fn set_word_at_bit(row: &mut [u8], bit: usize, width: u32, value: u64) {
-    assert!(
-        (1..=MAX_FIELD_BITS).contains(&width),
-        "field width {width} outside 1..={MAX_FIELD_BITS}"
-    );
-    assert!(
-        bit + width as usize <= row.len() * 8,
-        "field [{bit}, {}) extends past the {}-bit row",
-        bit + width as usize,
-        row.len() * 8
-    );
-    assert!(
-        value & !field_mask(width) == 0,
-        "value {value} exceeds {width} bits"
-    );
-    let start = bit / 8;
-    let mut window = [0u8; 8];
-    let take = (row.len() - start).min(8);
-    window[..take].copy_from_slice(&row[start..start + take]);
-    let mut word = u64::from_be_bytes(window);
-    let shift = 64 - (bit % 8) as u32 - width;
-    word = (word & !(field_mask(width) << shift)) | (value << shift);
-    window = word.to_be_bytes();
-    row[start..start + take].copy_from_slice(&window[..take]);
-}
-
-/// Widest field [`word_at_bit`]/[`set_word_at_bit`] support: an unaligned
-/// field starting up to 7 bits into its window must still fit in 64 bits.
+/// Widest bit field a 64-bit window load can extract from a row: an
+/// unaligned field starting up to 7 bits into its window must still fit
+/// in 64 bits. `pluto-core`'s slot packer streams rows through a 64-bit
+/// accumulator under the same bound.
 pub const MAX_FIELD_BITS: u32 = 57;
-
-fn field_mask(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
 
 /// Shifts a byte slice as one long big-endian bit string.
 pub(crate) fn shift_bits(data: &[u8], left: bool, amount: u32) -> Vec<u8> {
@@ -668,21 +578,6 @@ pub(crate) fn shift_bits(data: &[u8], left: bool, amount: u32) -> Vec<u8> {
             };
             out[i] = hi | lo;
         }
-    }
-    out
-}
-
-/// Shifts a byte slice by whole bytes ("left" = toward index 0).
-pub(crate) fn shift_bytes(data: &[u8], left: bool, amount: usize) -> Vec<u8> {
-    let n = data.len();
-    let mut out = vec![0u8; n];
-    if amount >= n {
-        return out;
-    }
-    if left {
-        out[..n - amount].copy_from_slice(&data[amount..]);
-    } else {
-        out[amount..].copy_from_slice(&data[..n - amount]);
     }
     out
 }
@@ -869,59 +764,6 @@ mod tests {
         let mask_first = 0xFFu8 >> 5;
         assert_eq!(back[0] & mask_first, data[0] & mask_first);
         assert_eq!(&back[1..], &data[1..]);
-    }
-
-    #[test]
-    fn byte_shift() {
-        assert_eq!(shift_bytes(&[1, 2, 3, 4], true, 1), vec![2, 3, 4, 0]);
-        assert_eq!(shift_bytes(&[1, 2, 3, 4], false, 2), vec![0, 0, 1, 2]);
-        assert_eq!(shift_bytes(&[1, 2], false, 5), vec![0, 0]);
-    }
-
-    #[test]
-    fn word_at_bit_reads_be_fields() {
-        let row = [0xAB, 0xCD, 0xEF, 0x01];
-        assert_eq!(word_at_bit(&row, 0, 8), 0xAB);
-        assert_eq!(word_at_bit(&row, 8, 8), 0xCD);
-        assert_eq!(word_at_bit(&row, 4, 8), 0xBC, "unaligned straddle");
-        assert_eq!(word_at_bit(&row, 0, 16), 0xABCD);
-        assert_eq!(word_at_bit(&row, 0, 1), 1);
-        assert_eq!(word_at_bit(&row, 2, 1), 1);
-        assert_eq!(word_at_bit(&row, 1, 1), 0);
-        // Field ending exactly at the end of the row.
-        assert_eq!(word_at_bit(&row, 24, 8), 0x01);
-        assert_eq!(word_at_bit(&row, 29, 3), 0x01);
-    }
-
-    #[test]
-    fn set_word_at_bit_roundtrips_and_preserves_neighbors() {
-        let mut row = [0xFFu8; 4];
-        set_word_at_bit(&mut row, 4, 8, 0x00);
-        assert_eq!(row, [0xF0, 0x0F, 0xFF, 0xFF]);
-        set_word_at_bit(&mut row, 29, 3, 0b010);
-        assert_eq!(word_at_bit(&row, 29, 3), 0b010);
-        assert_eq!(row[..3], [0xF0, 0x0F, 0xFF]);
-        // Every (offset, width) roundtrips against a bit-serial oracle.
-        for width in [1u32, 3, 7, 8, 11, 13, 16, 31, 57] {
-            for bit in 0..16usize {
-                let mut row = vec![0u8; 12];
-                let v = 0x5AA5_3CC3_0FF0_55AAu64 & ((1u64 << (width.min(63))) - 1);
-                set_word_at_bit(&mut row, bit, width, v);
-                let mut oracle = 0u64;
-                for b in 0..width as usize {
-                    let pos = bit + b;
-                    oracle = (oracle << 1) | u64::from((row[pos / 8] >> (7 - pos % 8)) & 1);
-                }
-                assert_eq!(oracle, v, "bit {bit} width {width}");
-                assert_eq!(word_at_bit(&row, bit, width), v, "bit {bit} width {width}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "extends past")]
-    fn word_at_bit_rejects_overrun() {
-        word_at_bit(&[0u8; 2], 12, 8);
     }
 
     #[test]

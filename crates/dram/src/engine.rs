@@ -21,9 +21,7 @@ use crate::error::DramError;
 use crate::geometry::{BankId, DramConfig, RowId, RowLoc, SubarrayId};
 use crate::stats::CommandStats;
 use crate::timing::TimingParams;
-use crate::timing_model::{
-    model_for, ActClass, RankState, TimingBackend, TimingSig, ACT_QUEUE_DEPTH,
-};
+use crate::timing_model::{ActClass, RankState, TimingBackend, TimingSig, ACT_QUEUE_DEPTH};
 use crate::units::{PicoJoules, Picos};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -58,21 +56,8 @@ impl Engine {
     /// Creates an engine with the timing/energy models matching `cfg`.
     pub fn new(cfg: DramConfig) -> Self {
         let timing = TimingParams::for_kind(cfg.kind);
-        let energy_model = EnergyModel::for_config(&cfg);
-        Engine {
-            array: MemoryArray::new(cfg.clone()),
-            cfg,
-            timing,
-            energy_model,
-            clock: Picos::ZERO,
-            command_energy: PicoJoules::ZERO,
-            stats: CommandStats::new(),
-            act_window: VecDeque::with_capacity(4),
-            backend: TimingBackend::default(),
-            rank: RankState::default(),
-            trace: None,
-            recorder: None,
-        }
+        let energy = EnergyModel::for_config(&cfg);
+        Engine::with_models(cfg, timing, energy)
     }
 
     /// Creates an engine with explicit timing/energy models (e.g. a scaled
@@ -301,8 +286,9 @@ impl Engine {
             Some(SweepStepKind::FullCycle) => (ActClass::Miss, None),
         };
         let queue_gate = self.rank.queue_gate(self.timing.t_ras);
-        let issue =
-            model_for(self.backend).act_issue(at, class, conflict_open, queue_gate, &self.timing);
+        let issue = self
+            .backend
+            .act_issue(at, class, conflict_open, queue_gate, &self.timing);
         match class {
             ActClass::Hit => self.stats.row_hits += 1,
             ActClass::Miss => self.stats.row_misses += 1,
@@ -766,40 +752,16 @@ impl Engine {
     /// # Errors
     /// Fails on out-of-bounds locations.
     pub fn sweep_step(&mut self, loc: RowLoc, kind: SweepStepKind) -> Result<(), DramError> {
-        if !self.cfg.contains(loc) {
-            return Err(DramError::OutOfBounds { loc });
-        }
-        self.array.activate(loc, true)?;
-        let at = self.issue_act_classified(loc, Some(kind));
-        self.clock = at;
-        match kind {
-            SweepStepKind::FullCycle => {
-                self.array.precharge(loc.bank, loc.subarray);
-                self.spend(
-                    self.timing.act_pre_cycle(),
-                    self.energy_model.act_pre_cycle(),
-                );
-            }
-            SweepStepKind::ChargeShare => {
-                self.spend(self.timing.t_rcd, self.energy_model.e_charge_share);
-            }
-        }
-        self.stats.activates += 1;
-        if kind == SweepStepKind::FullCycle {
-            self.stats.precharges += 1;
-        }
-        self.stats.sweep_steps += 1;
-        self.record(Command::SweepStep { loc, kind });
-        Ok(())
+        self.sweep_rows(loc.bank, loc.subarray, loc.row, 1, kind)
     }
 
     /// Batched Row Sweep over `count` consecutive rows starting at `first`:
     /// clock, energy, counters, tFAW interaction, and trace are identical
-    /// to `count` individual [`Engine::sweep_step`] calls (the per-step
-    /// accounting loop is kept verbatim so `f64` energy accumulates in the
-    /// same order), but the functional row-buffer work — a row-sized
-    /// memcpy per step in the serial loop — collapses to a single latch of
-    /// the last swept row, which is the only intermediate state the serial
+    /// to `count` individual [`Engine::sweep_step`] calls (each step is
+    /// accounted in row order, so `f64` energy accumulates in the same
+    /// order), but the functional row-buffer work — a row-sized memcpy
+    /// per step in a step-at-a-time loop — collapses to a single latch of
+    /// the last swept row, which is the only intermediate state such a
     /// loop leaves observable.
     ///
     /// # Errors
@@ -1218,8 +1180,9 @@ struct TapeRecorder {
 /// Captured with [`Engine::begin_tape`]/[`Engine::end_tape`] and applied —
 /// bit-identically, without re-simulating commands — with
 /// [`Engine::apply_replayed`]. The plan-cache layer in `pluto-core` keys
-/// tapes by everything that can shift the delta (config, design, LUT
-/// geometry, residency); see `DESIGN.md` §10.
+/// tapes by everything that can shift the delta, its `PlanKey`: timing
+/// and energy fingerprints, backend, design, segment length and LISA hop
+/// distances; see `DESIGN.md` §10.
 #[derive(Debug, Clone)]
 pub struct CostTape {
     ops: Vec<TapeOp>,

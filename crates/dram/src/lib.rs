@@ -26,10 +26,10 @@
 //! * [`engine`] — the serial command-level simulator: executes commands,
 //!   mutates the functional array, accumulates elapsed time and energy, and
 //!   enforces timing constraints (including the four-activate window, tFAW).
-//! * [`timing_model`] / [`banked`] — the pluggable timing-backend seam:
-//!   the analytic model as one implementation, and an event-driven
-//!   per-bank backend charging row-buffer conflicts and command-queue
-//!   contention as the second (`DESIGN.md` §11).
+//! * [`timing_model`] — the timing-backend seam: one issue-time policy
+//!   per [`TimingBackend`], the paper's analytic model and an
+//!   event-driven per-bank backend that also charges row-buffer
+//!   conflicts and command-queue contention (`DESIGN.md` §11).
 //! * [`schedule`] — the multi-lane makespan scheduler used to model
 //!   subarray-level parallelism (MASA/SALP) under the shared tFAW constraint.
 //! * [`stats`] — command counters.
@@ -54,7 +54,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod array;
-pub mod banked;
 pub mod command;
 pub mod energy;
 pub mod engine;
@@ -66,8 +65,7 @@ pub mod timing;
 pub mod timing_model;
 pub mod units;
 
-pub use array::{set_word_at_bit, word_at_bit, MemoryArray, RowBuffer, MAX_FIELD_BITS};
-pub use banked::BankedTiming;
+pub use array::{MemoryArray, RowBuffer, MAX_FIELD_BITS};
 pub use command::{Command, SweepStepKind};
 pub use energy::EnergyModel;
 pub use engine::{CostTape, Engine};
@@ -76,7 +74,5 @@ pub use geometry::{BankId, DramConfig, MemoryKind, RowId, RowLoc, SubarrayId};
 pub use schedule::{Lane, LaneStep, ParallelScheduler, StepKind};
 pub use stats::CommandStats;
 pub use timing::TimingParams;
-pub use timing_model::{
-    model_for, ActClass, ActIssue, AnalyticTiming, TimingBackend, TimingModel, ACT_QUEUE_DEPTH,
-};
+pub use timing_model::{ActClass, ActIssue, TimingBackend, ACT_QUEUE_DEPTH};
 pub use units::{PicoJoules, Picos};

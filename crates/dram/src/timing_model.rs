@@ -1,26 +1,31 @@
-//! The pluggable timing-backend seam (`DESIGN.md` §11).
+//! The timing-backend seam (`DESIGN.md` §11).
 //!
 //! The paper's evaluation uses a purely *analytic* cost model: every
 //! command has a fixed latency and the only cross-command constraint is
 //! the rolling four-activate window (tFAW). That is faithful to §7.1 of
 //! the paper, but the serving front-end and compiled plans now generate
 //! concurrent traffic whose realism is capped by it. This module
-//! introduces the seam between *what the command stream is* (the
-//! [`crate::Engine`]) and *when each activation may issue*
-//! (a [`TimingModel`]):
+//! separates *what the command stream is* (the [`crate::Engine`]) from
+//! *when each activation may issue*, a policy the engine asks its
+//! [`TimingBackend`] for:
 //!
-//! * [`AnalyticTiming`] — the original model. Row-buffer state is
-//!   *tracked* (hit/miss/conflict counters) but never *charged*.
-//! * [`crate::BankedTiming`] — an event-driven per-bank engine that
-//!   charges row-buffer conflicts (tRAS/tRP interplay) and models a
-//!   bounded per-rank command queue whose contention delays issue.
+//! * [`TimingBackend::Analytic`] — the original model. Row-buffer state
+//!   is *tracked* (hit/miss/conflict counters) but never *charged*.
+//! * [`TimingBackend::Banked`] — an event-driven per-bank policy that
+//!   charges row-buffer conflicts (an open row's tRAS residency, then
+//!   the implicit precharge's tRP) and models a bounded per-rank
+//!   command queue of [`ACT_QUEUE_DEPTH`] in-flight activations, where
+//!   an activation arriving at a full queue waits for the oldest entry
+//!   to retire (one tRAS after its issue).
 //!
-//! Both backends share the same tracking state (`RankState`) and the
-//! same classification rules, so on any serial single-bank command
-//! stream — where no conflict and no queue pressure can arise — they
-//! agree *bit for bit* on latency and energy. That exact-agreement
-//! invariant is the correctness contract locked by
-//! `tests/timing_backend.rs`.
+//! The policy is pure: all bank, row and queue state lives in the
+//! engine's tracking state (`RankState`), which both backends maintain
+//! identically under the same classification rules. So on any serial
+//! single-bank command stream — no conflicts, and queue occupancy
+//! bounded by ⌈tRAS/tRCD⌉, well below the queue depth — every penalty
+//! term is zero and the two backends agree *bit for bit* on latency and
+//! energy. That exact-agreement invariant is the correctness contract
+//! locked by `tests/timing_backend.rs`.
 //!
 //! ## Geometry alignment (what gets classified)
 //!
@@ -50,15 +55,16 @@ use crate::units::Picos;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Selects which [`TimingModel`] an [`crate::Engine`] runs under.
+/// Selects the policy that resolves an [`crate::Engine`]'s activation
+/// issue times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TimingBackend {
     /// The paper's analytic model: fixed per-command latencies under the
     /// tFAW window only. Row-buffer state is tracked but never charged.
     #[default]
     Analytic,
-    /// Event-driven per-bank backend ([`crate::BankedTiming`]): charges
-    /// row-buffer conflicts and bounded command-queue contention.
+    /// Event-driven per-bank backend: charges row-buffer conflicts and
+    /// bounded command-queue contention.
     Banked,
 }
 
@@ -89,7 +95,7 @@ pub enum ActClass {
 /// predecessors must wait for the oldest to age out (one tRAS).
 pub const ACT_QUEUE_DEPTH: usize = 8;
 
-/// A [`TimingModel`]'s resolved issue decision for one activation.
+/// A [`TimingBackend`]'s resolved issue decision for one activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActIssue {
     /// The final issue time.
@@ -99,63 +105,44 @@ pub struct ActIssue {
     pub queue_stalled: bool,
 }
 
-/// Policy half of the timing seam: given a classified activation and the
-/// shared tracking state's verdicts, decide when it actually issues.
-///
-/// Implementations must be pure (no interior state) — all state lives in
-/// the engine's `RankState` so that both backends observe identical
-/// streams and the differential contract stays meaningful.
-pub trait TimingModel: Sync {
-    /// Which backend this model implements.
-    fn backend(&self) -> TimingBackend;
-
-    /// Resolves the issue time of one activation.
+impl TimingBackend {
+    /// Resolves the issue time of one classified activation.
     ///
     /// `at` already honors the tFAW window. `conflict_open` carries the
     /// conflicting open row's activation time when `class` is
     /// [`ActClass::Conflict`]; `queue_gate` carries the earliest time a
-    /// queue slot frees when the bounded queue is full.
-    fn act_issue(
-        &self,
+    /// queue slot frees when the bounded queue is full. The analytic
+    /// policy charges nothing but still counts the would-be queue stall,
+    /// so the two backends' statistics stay comparable.
+    pub(crate) fn act_issue(
+        self,
         at: Picos,
         class: ActClass,
         conflict_open: Option<Picos>,
         queue_gate: Option<Picos>,
         timing: &TimingParams,
-    ) -> ActIssue;
-}
-
-/// The paper's analytic backend: every penalty policy is "charge
-/// nothing". Classifications and would-be stalls are still counted so
-/// the two backends' statistics stay comparable.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticTiming;
-
-impl TimingModel for AnalyticTiming {
-    fn backend(&self) -> TimingBackend {
-        TimingBackend::Analytic
-    }
-
-    fn act_issue(
-        &self,
-        at: Picos,
-        _class: ActClass,
-        _conflict_open: Option<Picos>,
-        queue_gate: Option<Picos>,
-        _timing: &TimingParams,
     ) -> ActIssue {
-        ActIssue {
-            at,
-            queue_stalled: queue_gate.is_some_and(|gate| gate > at),
+        match self {
+            TimingBackend::Analytic => ActIssue {
+                at,
+                queue_stalled: queue_gate.is_some_and(|gate| gate > at),
+            },
+            TimingBackend::Banked => {
+                let mut at = at;
+                if let (ActClass::Conflict, Some(opened)) = (class, conflict_open) {
+                    // The open row must satisfy its tRAS residency before
+                    // the implicit precharge can issue; tRP then restores
+                    // the bitlines. Time-only: the closing precharge's
+                    // energy is already charged by the stream's own PREs.
+                    at = at.max(opened + timing.t_ras) + timing.t_rp;
+                }
+                let queue_stalled = queue_gate.is_some_and(|gate| gate > at);
+                if let Some(gate) = queue_gate {
+                    at = at.max(gate);
+                }
+                ActIssue { at, queue_stalled }
+            }
         }
-    }
-}
-
-/// Returns the (stateless) model implementing `backend`.
-pub fn model_for(backend: TimingBackend) -> &'static dyn TimingModel {
-    match backend {
-        TimingBackend::Analytic => &AnalyticTiming,
-        TimingBackend::Banked => &crate::banked::BankedTiming,
     }
 }
 
@@ -512,7 +499,7 @@ mod tests {
     fn analytic_model_charges_nothing() {
         let timing = TimingParams::ddr4_2400();
         let at = Picos::from_ns(100.0);
-        let issue = AnalyticTiming.act_issue(
+        let issue = TimingBackend::Analytic.act_issue(
             at,
             ActClass::Conflict,
             Some(Picos::from_ns(99.0)),
@@ -521,13 +508,68 @@ mod tests {
         );
         assert_eq!(issue.at, at, "analytic issue time is never delayed");
         assert!(issue.queue_stalled, "but the would-be stall is counted");
-        assert_eq!(
-            model_for(TimingBackend::Analytic).backend(),
-            TimingBackend::Analytic
+    }
+
+    #[test]
+    fn hits_and_misses_are_free() {
+        let timing = TimingParams::ddr4_2400();
+        let at = Picos::from_ns(100.0);
+        for class in [ActClass::Hit, ActClass::Miss] {
+            let issue = TimingBackend::Banked.act_issue(at, class, None, None, &timing);
+            assert_eq!(issue.at, at);
+            assert!(!issue.queue_stalled);
+        }
+    }
+
+    #[test]
+    fn conflict_waits_out_tras_then_pays_trp() {
+        let timing = TimingParams::ddr4_2400();
+        // Row opened at 90 ns, conflict attempted at 100 ns: the open
+        // row holds until 90 + tRAS, then tRP.
+        let opened = Picos::from_ns(90.0);
+        let at = Picos::from_ns(100.0);
+        let issue =
+            TimingBackend::Banked.act_issue(at, ActClass::Conflict, Some(opened), None, &timing);
+        assert_eq!(issue.at, opened + timing.t_ras + timing.t_rp);
+        // A long-resident open row (tRAS already satisfied) only costs
+        // the precharge.
+        let stale = Picos::from_ns(10.0);
+        let issue =
+            TimingBackend::Banked.act_issue(at, ActClass::Conflict, Some(stale), None, &timing);
+        assert_eq!(issue.at, at + timing.t_rp);
+    }
+
+    #[test]
+    fn full_queue_delays_issue() {
+        let timing = TimingParams::ddr4_2400();
+        let at = Picos::from_ns(50.0);
+        let gate = Picos::from_ns(60.0);
+        let issue = TimingBackend::Banked.act_issue(at, ActClass::Miss, None, Some(gate), &timing);
+        assert_eq!(issue.at, gate);
+        assert!(issue.queue_stalled);
+        // A gate already in the past neither stalls nor delays.
+        let past = Picos::from_ns(40.0);
+        let issue = TimingBackend::Banked.act_issue(at, ActClass::Miss, None, Some(past), &timing);
+        assert_eq!(issue.at, at);
+        assert!(!issue.queue_stalled);
+    }
+
+    #[test]
+    fn conflict_resolution_can_absorb_the_queue_gate() {
+        let timing = TimingParams::ddr4_2400();
+        let opened = Picos::from_ns(100.0);
+        let at = Picos::from_ns(101.0);
+        // Conflict pushes the issue past the queue gate: no stall is
+        // charged on top (the queue drained while the bank closed).
+        let gate = Picos::from_ns(110.0);
+        let issue = TimingBackend::Banked.act_issue(
+            at,
+            ActClass::Conflict,
+            Some(opened),
+            Some(gate),
+            &timing,
         );
-        assert_eq!(
-            model_for(TimingBackend::Banked).backend(),
-            TimingBackend::Banked
-        );
+        assert_eq!(issue.at, opened + timing.t_ras + timing.t_rp);
+        assert!(!issue.queue_stalled);
     }
 }

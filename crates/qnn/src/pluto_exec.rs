@@ -146,11 +146,6 @@ impl Workload for BinaryDotWorkload {
         "QNN-BinaryDot"
     }
 
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        // Inputs are caller-provided (network activations/weights), not
-        // generated.
-    }
-
     fn run_pluto(&mut self, session: &mut Session) -> Result<Vec<u8>, PlutoError> {
         let out = binary_dot_machine(session.machine_mut(), &self.a_rows, &self.b_rows)?;
         let encoded = encode_i32(&out);

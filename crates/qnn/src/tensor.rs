@@ -67,11 +67,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Flat mutable data access.
-    pub fn data_mut(&mut self) -> &mut [i32] {
-        &mut self.data
-    }
-
     /// 3-D indexed read for `[c, h, w]` tensors.
     ///
     /// # Panics

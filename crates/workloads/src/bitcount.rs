@@ -114,7 +114,6 @@ mod tests {
 use crate::gen;
 use pluto_baselines::WorkloadId;
 use pluto_core::session::{self, Session, Workload};
-use sim_support::StdRng;
 
 /// The bit-counting workload (Fig. 9 BC-4/BC-8) as a pluggable
 /// [`Workload`] scenario.
@@ -122,9 +121,6 @@ use sim_support::StdRng;
 pub struct BitcountWorkload {
     id: WorkloadId,
     bits: u32,
-    elems: usize,
-    /// Shards pin their input slice; `prepare` must not regenerate it.
-    pinned: bool,
     values: Vec<u64>,
 }
 
@@ -150,31 +146,17 @@ impl BitcountWorkload {
             8 => WorkloadId::Bc8,
             _ => panic!("BitcountWorkload supports BC-4 and BC-8, not {bits}"),
         };
-        let mut w = BitcountWorkload {
+        BitcountWorkload {
             id,
             bits,
-            elems,
-            pinned: false,
-            values: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.values = gen::values(17, self.elems, self.bits);
+            values: gen::values(17, elems, bits),
+        }
     }
 }
 
 impl Workload for BitcountWorkload {
     fn id(&self) -> &'static str {
         self.id.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -202,8 +184,6 @@ impl Workload for BitcountWorkload {
                 Box::new(BitcountWorkload {
                     id: self.id,
                     bits: self.bits,
-                    elems: c.len(),
-                    pinned: true,
                     values: c.to_vec(),
                 }) as Box<dyn Workload>
             })

@@ -151,7 +151,6 @@ use crate::gen;
 use pluto_baselines::WorkloadId;
 use pluto_core::session::Session;
 use pluto_core::Workload;
-use sim_support::StdRng;
 
 /// The row-level bitwise workload (Table 4) as a pluggable [`Workload`]
 /// scenario: bulk XOR — the operation prior PuM cannot run natively —
@@ -163,25 +162,18 @@ pub struct BitwiseWorkload {
 }
 
 impl BitwiseWorkload {
-    /// A scenario over the paper-pinned operand vectors.
+    /// A scenario over the fixed-seed operand vectors.
     pub fn new() -> Self {
-        let mut w = BitwiseWorkload {
-            a: Vec::new(),
-            b: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.a = gen::values(18, crate::MEASURE_BATCH_ELEMS, 8)
-            .iter()
-            .map(|&v| v as u8)
-            .collect();
-        self.b = gen::values(19, crate::MEASURE_BATCH_ELEMS, 8)
-            .iter()
-            .map(|&v| v as u8)
-            .collect();
+        BitwiseWorkload {
+            a: gen::values(18, crate::MEASURE_BATCH_ELEMS, 8)
+                .iter()
+                .map(|&v| v as u8)
+                .collect(),
+            b: gen::values(19, crate::MEASURE_BATCH_ELEMS, 8)
+                .iter()
+                .map(|&v| v as u8)
+                .collect(),
+        }
     }
 }
 
@@ -194,10 +186,6 @@ impl Default for BitwiseWorkload {
 impl Workload for BitwiseWorkload {
     fn id(&self) -> &'static str {
         WorkloadId::BitwiseRow.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        self.regenerate();
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {

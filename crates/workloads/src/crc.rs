@@ -315,7 +315,6 @@ mod tests {
 use crate::gen;
 use pluto_baselines::WorkloadId;
 use pluto_core::session::{self, Session, Workload};
-use sim_support::StdRng;
 
 /// The CRC workload (Table 4) as a pluggable [`Workload`] scenario: one
 /// measurement batch of `spec`-CRCs over 128 B packets.
@@ -323,9 +322,6 @@ use sim_support::StdRng;
 pub struct CrcWorkload {
     id: WorkloadId,
     spec: CrcSpec,
-    count: usize,
-    /// Shards pin their packet slice; `prepare` must not regenerate it.
-    pinned: bool,
     packets: Vec<Vec<u8>>,
 }
 
@@ -359,37 +355,19 @@ impl CrcWorkload {
             32 => WorkloadId::Crc32,
             w => panic!("CrcWorkload supports CRC-8/16/32, not width {w}"),
         };
-        let mut w = CrcWorkload {
+        CrcWorkload {
             id,
             spec,
-            count,
-            pinned: false,
-            packets: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    /// Paper-pinned dataset; generator seeds are fixed so figure data is
-    /// bit-stable across runs and sessions.
-    fn regenerate(&mut self) {
-        self.packets = gen::packets(
-            0xC0 + self.spec.width as u64,
-            self.count,
-            gen::CRC_PACKET_BYTES,
-        );
+            // The paper dataset: generator seeds are fixed so figure data
+            // is bit-stable across runs and sessions.
+            packets: gen::packets(0xC0 + spec.width as u64, count, gen::CRC_PACKET_BYTES),
+        }
     }
 }
 
 impl Workload for CrcWorkload {
     fn id(&self) -> &'static str {
         self.id.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -419,8 +397,6 @@ impl Workload for CrcWorkload {
                 Box::new(CrcWorkload {
                     id: self.id,
                     spec: self.spec,
-                    count: chunk.len(),
-                    pinned: true,
                     packets: chunk.to_vec(),
                 }) as Box<dyn Workload>
             })

@@ -26,7 +26,6 @@ use pluto_baselines::WorkloadId;
 use pluto_core::lut::catalog;
 use pluto_core::session::{self, Session, Workload};
 use pluto_core::{Lut, PlutoError, PlutoMachine};
-use sim_support::StdRng;
 
 /// The direct 12-bit → 8-bit tone-map curve: `y = round(255·√(x/4095))`,
 /// a lift-the-shadows display gamma. `sqrt` is correctly rounded per
@@ -79,9 +78,6 @@ pub fn mul_direct8_pluto(
 /// scenario over a synthetic 12-bit sensor plane.
 #[derive(Debug)]
 pub struct Gamma12Workload {
-    elems: usize,
-    /// Shards pin their input slice; `prepare` must not regenerate it.
-    pinned: bool,
     pixels: Vec<u64>,
 }
 
@@ -94,17 +90,9 @@ impl Gamma12Workload {
     /// A scenario over a batch of `elems` 12-bit pixels; oversize batches
     /// split into measurement-sized [`Workload::shards`].
     pub fn with_batch(elems: usize) -> Self {
-        let mut w = Gamma12Workload {
-            elems,
-            pinned: false,
-            pixels: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.pixels = gen::values(21, self.elems, 12);
+        Gamma12Workload {
+            pixels: gen::values(21, elems, 12),
+        }
     }
 }
 
@@ -117,12 +105,6 @@ impl Default for Gamma12Workload {
 impl Workload for Gamma12Workload {
     fn id(&self) -> &'static str {
         WorkloadId::Gamma12.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -149,8 +131,6 @@ impl Workload for Gamma12Workload {
             .chunks(crate::MEASURE_BATCH_ELEMS)
             .map(|chunk| {
                 Box::new(Gamma12Workload {
-                    elems: chunk.len(),
-                    pinned: true,
                     pixels: chunk.to_vec(),
                 }) as Box<dyn Workload>
             })
@@ -162,9 +142,6 @@ impl Workload for Gamma12Workload {
 /// [`Workload`] scenario.
 #[derive(Debug)]
 pub struct MulDirect8Workload {
-    elems: usize,
-    /// Shards pin their input slice; `prepare` must not regenerate it.
-    pinned: bool,
     a: Vec<u64>,
     b: Vec<u64>,
 }
@@ -178,19 +155,10 @@ impl MulDirect8Workload {
     /// A scenario over a batch of `elems` operand pairs; oversize batches
     /// split into measurement-sized [`Workload::shards`].
     pub fn with_batch(elems: usize) -> Self {
-        let mut w = MulDirect8Workload {
-            elems,
-            pinned: false,
-            a: Vec::new(),
-            b: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.a = gen::values(22, self.elems, 8);
-        self.b = gen::values(23, self.elems, 8);
+        MulDirect8Workload {
+            a: gen::values(22, elems, 8),
+            b: gen::values(23, elems, 8),
+        }
     }
 }
 
@@ -203,12 +171,6 @@ impl Default for MulDirect8Workload {
 impl Workload for MulDirect8Workload {
     fn id(&self) -> &'static str {
         WorkloadId::MulDirect8.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -236,8 +198,6 @@ impl Workload for MulDirect8Workload {
             .zip(self.b.chunks(crate::MEASURE_BATCH_ELEMS))
             .map(|(ca, cb)| {
                 Box::new(MulDirect8Workload {
-                    elems: ca.len(),
-                    pinned: true,
                     a: ca.to_vec(),
                     b: cb.to_vec(),
                 }) as Box<dyn Workload>

@@ -199,7 +199,6 @@ mod tests {
 
 use pluto_baselines::WorkloadId;
 use pluto_core::session::{Session, Workload};
-use sim_support::StdRng;
 
 fn encode_image(img: &Image) -> Vec<u8> {
     img.channels
@@ -231,14 +230,11 @@ fn image_tiles(img: &Image) -> Vec<Image> {
 #[derive(Debug)]
 pub struct BinarizeWorkload {
     img: Image,
-    pixels: usize,
-    /// Shards pin their tile; `prepare` must not regenerate it.
-    pinned: bool,
     threshold: u8,
 }
 
 impl BinarizeWorkload {
-    /// A scenario over the paper-pinned synthetic tile.
+    /// A scenario over the fixed-seed synthetic tile.
     pub fn new() -> Self {
         BinarizeWorkload::with_pixels(crate::MEASURE_BATCH_ELEMS)
     }
@@ -249,8 +245,6 @@ impl BinarizeWorkload {
     pub fn with_pixels(pixels: usize) -> Self {
         BinarizeWorkload {
             img: Image::synthetic(5, pixels),
-            pixels,
-            pinned: false,
             threshold: 128,
         }
     }
@@ -265,12 +259,6 @@ impl Default for BinarizeWorkload {
 impl Workload for BinarizeWorkload {
     fn id(&self) -> &'static str {
         WorkloadId::ImgBin.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.img = Image::synthetic(5, self.pixels);
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -291,9 +279,7 @@ impl Workload for BinarizeWorkload {
             .into_iter()
             .map(|tile| {
                 Box::new(BinarizeWorkload {
-                    pixels: tile.pixels,
                     img: tile,
-                    pinned: true,
                     threshold: self.threshold,
                 }) as Box<dyn Workload>
             })
@@ -307,14 +293,11 @@ impl Workload for BinarizeWorkload {
 #[derive(Debug)]
 pub struct GradeWorkload {
     img: Image,
-    pixels: usize,
-    /// Shards pin their tile; `prepare` must not regenerate it.
-    pinned: bool,
     curves: GradingCurves,
 }
 
 impl GradeWorkload {
-    /// A scenario over the paper-pinned synthetic tile.
+    /// A scenario over the fixed-seed synthetic tile.
     pub fn new() -> Self {
         GradeWorkload::with_pixels(crate::MEASURE_BATCH_ELEMS)
     }
@@ -325,8 +308,6 @@ impl GradeWorkload {
     pub fn with_pixels(pixels: usize) -> Self {
         GradeWorkload {
             img: Image::synthetic(6, pixels),
-            pixels,
-            pinned: false,
             curves: GradingCurves::cinematic(),
         }
     }
@@ -341,13 +322,6 @@ impl Default for GradeWorkload {
 impl Workload for GradeWorkload {
     fn id(&self) -> &'static str {
         WorkloadId::ColorGrade.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.img = Image::synthetic(6, self.pixels);
-            self.curves = GradingCurves::cinematic();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -368,9 +342,7 @@ impl Workload for GradeWorkload {
             .into_iter()
             .map(|tile| {
                 Box::new(GradeWorkload {
-                    pixels: tile.pixels,
                     img: tile,
-                    pinned: true,
                     curves: self.curves.clone(),
                 }) as Box<dyn Workload>
             })

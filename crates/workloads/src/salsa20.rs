@@ -384,7 +384,6 @@ mod tests {
 
 use pluto_baselines::WorkloadId;
 use pluto_core::session::{Session, Workload};
-use sim_support::StdRng;
 
 /// Blocks in one Salsa20 measurement batch.
 const MEASURE_BLOCKS: usize = 96;
@@ -397,17 +396,13 @@ pub struct Salsa20Workload {
 }
 
 impl Salsa20Workload {
-    /// A scenario over the paper-pinned key/nonce/counter schedule.
+    /// A scenario over the fixed key/nonce/counter schedule.
     pub fn new() -> Self {
-        let mut w = Salsa20Workload { states: Vec::new() };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.states = (0..MEASURE_BLOCKS)
-            .map(|i| initial_state(&[7u8; 32], &[1u8; 8], i as u64))
-            .collect();
+        Salsa20Workload {
+            states: (0..MEASURE_BLOCKS)
+                .map(|i| initial_state(&[7u8; 32], &[1u8; 8], i as u64))
+                .collect(),
+        }
     }
 
     fn encode(states: &[[u32; 16]]) -> Vec<u8> {
@@ -430,10 +425,6 @@ impl Default for Salsa20Workload {
 impl Workload for Salsa20Workload {
     fn id(&self) -> &'static str {
         WorkloadId::Salsa20.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        self.regenerate();
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {

@@ -176,7 +176,6 @@ mod tests {
 use crate::gen;
 use pluto_baselines::WorkloadId;
 use pluto_core::session::{self, Session, Workload};
-use sim_support::StdRng;
 
 /// The LUT-based vector addition workload (Fig. 9 ADD4/ADD8) as a
 /// pluggable [`Workload`] scenario. ADD8 composes two 4-bit LUT adds via
@@ -185,9 +184,6 @@ use sim_support::StdRng;
 pub struct AddWorkload {
     id: WorkloadId,
     bits: u32,
-    elems: usize,
-    /// Shards pin their input slice; `prepare` must not regenerate it.
-    pinned: bool,
     a: Vec<u64>,
     b: Vec<u64>,
 }
@@ -214,33 +210,18 @@ impl AddWorkload {
             8 => WorkloadId::Add8,
             _ => panic!("AddWorkload supports 4- and 8-bit adds, not {bits}"),
         };
-        let mut w = AddWorkload {
+        AddWorkload {
             id,
             bits,
-            elems,
-            pinned: false,
-            a: Vec::new(),
-            b: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.a = gen::values(11, self.elems, self.bits);
-        self.b = gen::values(12, self.elems, self.bits);
+            a: gen::values(11, elems, bits),
+            b: gen::values(12, elems, bits),
+        }
     }
 }
 
 impl Workload for AddWorkload {
     fn id(&self) -> &'static str {
         self.id.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -285,8 +266,6 @@ impl Workload for AddWorkload {
                 Box::new(AddWorkload {
                     id: self.id,
                     bits: self.bits,
-                    elems: ca.len(),
-                    pinned: true,
                     a: ca.to_vec(),
                     b: cb.to_vec(),
                 }) as Box<dyn Workload>
@@ -301,9 +280,6 @@ impl Workload for AddWorkload {
 pub struct QMulWorkload {
     id: WorkloadId,
     frac_bits: u32,
-    elems: usize,
-    /// Shards pin their input slice; `prepare` must not regenerate it.
-    pinned: bool,
     a: Vec<u64>,
     b: Vec<u64>,
 }
@@ -336,25 +312,16 @@ impl QMulWorkload {
             15 => WorkloadId::Mul16,
             _ => panic!("QMulWorkload supports Q1.7 and Q1.15, not Q1.{frac_bits}"),
         };
-        let mut w = QMulWorkload {
+        let (a, b) = if frac_bits == 7 {
+            (gen::values(13, elems, 8), gen::values(14, elems, 8))
+        } else {
+            (gen::values(15, elems, 16), gen::values(16, elems, 16))
+        };
+        QMulWorkload {
             id,
             frac_bits,
-            elems,
-            pinned: false,
-            a: Vec::new(),
-            b: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        if self.frac_bits == 7 {
-            self.a = gen::values(13, self.elems, 8);
-            self.b = gen::values(14, self.elems, 8);
-        } else {
-            self.a = gen::values(15, self.elems, 16);
-            self.b = gen::values(16, self.elems, 16);
+            a,
+            b,
         }
     }
 
@@ -371,12 +338,6 @@ impl QMulWorkload {
 impl Workload for QMulWorkload {
     fn id(&self) -> &'static str {
         self.id.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        if !self.pinned {
-            self.regenerate();
-        }
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
@@ -410,8 +371,6 @@ impl Workload for QMulWorkload {
                 Box::new(QMulWorkload {
                     id: self.id,
                     frac_bits: self.frac_bits,
-                    elems: ca.len(),
-                    pinned: true,
                     a: ca.to_vec(),
                     b: cb.to_vec(),
                 }) as Box<dyn Workload>

@@ -200,19 +200,12 @@ pub struct VmpcWorkload {
 }
 
 impl VmpcWorkload {
-    /// A scenario over the paper-pinned key and packet data.
+    /// A scenario over the fixed-seed key and packet data.
     pub fn new() -> Self {
-        let mut w = VmpcWorkload {
+        VmpcWorkload {
             perm: Permutation::from_key(0xBEEF),
-            packets: Vec::new(),
-        };
-        w.regenerate();
-        w
-    }
-
-    fn regenerate(&mut self) {
-        self.perm = Permutation::from_key(0xBEEF);
-        self.packets = gen::packets(0x7E, 1, crate::MEASURE_BATCH_ELEMS);
+            packets: gen::packets(0x7E, 1, crate::MEASURE_BATCH_ELEMS),
+        }
     }
 }
 
@@ -225,10 +218,6 @@ impl Default for VmpcWorkload {
 impl Workload for VmpcWorkload {
     fn id(&self) -> &'static str {
         WorkloadId::Vmpc.label()
-    }
-
-    fn prepare(&mut self, _rng: &mut StdRng) {
-        self.regenerate();
     }
 
     fn run_pluto(&mut self, sess: &mut Session) -> Result<Vec<u8>, PlutoError> {
