@@ -30,8 +30,9 @@ PLUTO_QUICK=1 cargo test -q --test timing_backend
 echo "==> Plan-replay, plan-key and fused-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/partition_fused.rs, plans-on == plans-off, every input the plan key omits leaves lane cost unchanged, and fused == serial lanes)"
 PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_fused
 
-echo "==> Cache residency (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses)"
+echo "==> Cache residency and shared row tables (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses; array/store/partition shared_table unit tests + cache_is_immune_to_in_dram_destruction, no write reaches a shared row table and a shared-table load reads like a per-row load)"
 PLUTO_QUICK=1 cargo test -q --test cache_residency
+PLUTO_QUICK=1 cargo test -q -p pluto-dram -p pluto-core --lib -- shared_table cache_is_immune_to_in_dram_destruction
 
 echo "==> Worker-pool soak (tests/serve.rs + tests/cluster.rs + deque/cluster/serve unit tests, 5 rounds; a hang fails the step)"
 timeout 600 bash -c 'set -euo pipefail; for round in 1 2 3 4 5; do PLUTO_QUICK=1 cargo test -q --test serve --test cluster; PLUTO_QUICK=1 cargo test -q -p pluto-core --lib -- deque:: cluster:: serve::; done'

@@ -17,16 +17,16 @@
 //!   ([`crate::lut::Lut::with_min_slot_bits`]), so every segment element
 //!   row is byte-identical to the corresponding row of the unpartitioned
 //!   layout and row capacity is uniform across segments. Because of that
-//!   identity, loading N segments is **one pass over the parent's packed
-//!   rows**: all segments slice the parent's single packed-row-cache
-//!   entry ([`crate::store`]) — one cache lookup and one identity check —
-//!   with tail padding drawn from one shared zero row, and each segment's
-//!   rows enter DRAM as one batched copy-on-write poke
-//!   ([`crate::store::LutStore`]'s sliced loader). Tail segments whose
-//!   length is not a power of two are padded with masked-out zero
-//!   elements (inputs are validated against the *parent* length, so the
-//!   pad rows can never match). A table that is exactly one power-of-two
-//!   sweep is its own single segment, with no element copy.
+//!   identity, the parent is packed **once**, in one pass, and one
+//!   packed-row cache entry ([`crate::store`]) holds every segment's table
+//!   and rows, with tail padding drawn from one shared zero row. Loading N
+//!   segments is one cache lookup, then each segment's row table enters
+//!   its pLUTo and master subarrays as one copy-on-write handle each.
+//!   Tail segments whose length is not a power of two are padded with
+//!   masked-out zero elements (inputs are validated against the *parent*
+//!   length, so the pad rows can never match). A table that is exactly
+//!   one power-of-two sweep is its own single segment, with no element
+//!   copy.
 //! * **Data path — fused single pass.** Commands and data are split:
 //!   each segment's *command stream* is still issued in full (that is
 //!   what §5.6 charges), but the *data work* is one gather over the
@@ -54,8 +54,6 @@
 //! [`crate::library::PlutoMachine`] and [`crate::controller::Controller`]
 //! (and therefore every `Session` and `Cluster` worker) hold one store
 //! type and run one query path, with plan replay in one lane loop.
-
-use std::sync::Arc;
 
 use crate::design::DesignKind;
 use crate::error::PlutoError;
@@ -119,9 +117,10 @@ impl PartitionedLut {
     /// non-power-of-two sweep, so a truncated table that fits one
     /// subarray is one padded segment).
     ///
-    /// All segments pack in **one pass**: the parent's packed rows come
-    /// from the process-wide cache once, each segment slices its row range
-    /// as copy-on-write handles, and pad rows share a single zero row.
+    /// Loading is one packed-row cache lookup for the whole partition:
+    /// the entry holds every segment's table and its packed rows as one
+    /// shared row table, which lands in the segment's pLUTo and master
+    /// subarrays as one handle each.
     ///
     /// # Errors
     /// Fails if the bank runs out of subarrays.
@@ -134,40 +133,10 @@ impl PartitionedLut {
         let rows = engine.config().rows_per_subarray as usize;
         let row_bytes = engine.config().row_bytes;
         let (segment_rows, count) = segment_layout(lut.len(), rows);
-        let slot_floor = lut.slot_bits();
-        // One cache lookup + identity check for the whole partition: the
-        // parent's packed rows ARE the segment rows (segments keep the
-        // parent's slot layout), and every pad row packs to zero bytes.
-        let parent_rows = crate::store::packed_rows(&lut, row_bytes);
-        let zero_row = Arc::new(vec![0u8; row_bytes]);
-        let mut seg_rows: Vec<Arc<Vec<u8>>> = Vec::with_capacity(segment_rows);
+        let packed = crate::store::packed_segments(&lut, row_bytes, segment_rows)?;
+        debug_assert_eq!(packed.len(), count);
         let mut segments = Vec::with_capacity(count);
-        for k in 0..count {
-            let base = k * segment_rows;
-            let end = (base + segment_rows).min(lut.len());
-            let seg = if lut.len() == segment_rows {
-                // Exactly one power-of-two sweep: the table is its own
-                // segment.
-                lut.clone()
-            } else {
-                let mut elements = lut.elements()[base..end].to_vec();
-                // Pad the (tail) segment to a power of two with masked-out
-                // elements: inputs are validated against the parent length,
-                // so a pad row can never be the matching row of any query.
-                elements.resize((end - base).next_power_of_two(), 0);
-                Lut::from_table(
-                    format!("{}@seg{k}", lut.name()),
-                    elements.len().trailing_zeros(),
-                    lut.output_bits(),
-                    elements,
-                )?
-                .with_min_slot_bits(slot_floor)
-            };
-            debug_assert_eq!(
-                seg.slot_bits(),
-                lut.slot_bits(),
-                "segment layout must match the unpartitioned layout"
-            );
+        for (k, seg) in packed.iter().enumerate() {
             let pluto = SubarrayId(first_subarray.0 + 2 * k as u16);
             let master = SubarrayId(pluto.0 + 1);
             if master.0 >= engine.config().subarrays_per_bank {
@@ -175,18 +144,8 @@ impl PartitionedLut {
                     reason: format!("segment {k} exceeds the bank's subarrays"),
                 });
             }
-            // Full segments poke the parent's cached rows straight from
-            // the slice — no handle cloning at all (and on a repeat load
-            // the pokes are pointer-equal no-ops). Only a padded tail
-            // segment assembles a temporary row vector.
-            let store = if end - base == seg.len() {
-                LutStore::load_sliced(engine, seg, bank, pluto, master, 0, &parent_rows[base..end])?
-            } else {
-                seg_rows.clear();
-                seg_rows.extend(parent_rows[base..end].iter().map(Arc::clone));
-                seg_rows.resize_with(seg.len(), || Arc::clone(&zero_row));
-                LutStore::load_sliced(engine, seg, bank, pluto, master, 0, &seg_rows)?
-            };
+            let store =
+                LutStore::load_shared(engine, seg.lut.clone(), bank, pluto, master, 0, &seg.rows)?;
             segments.push(store);
         }
         Ok(PartitionedLut {
@@ -830,8 +789,9 @@ mod tests {
 
     #[test]
     fn sliced_segment_load_matches_master_copies_and_pad_rows() {
-        // The one-pass loader slices the parent pack: element rows land in
-        // both the pLUTo and master subarrays, and tail pad rows are zero.
+        // Each segment's table is a slice of the parent pack: element rows
+        // land in both the pLUTo and master subarrays, and tail pad rows
+        // are zero.
         let mut e = engine();
         let lut = Lut::from_fn_len("slice650", 650, 16, |x| (x * 7) & 0xFFFF).unwrap();
         let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
@@ -856,6 +816,72 @@ mod tests {
                     .all(|&b| b == 0),
                 "pad row {i} must be zero"
             );
+        }
+    }
+
+    #[test]
+    fn shared_table_load_reads_like_a_per_row_load() {
+        // A 4-segment load shares one row table per segment into its
+        // pLUTo and master subarrays. Every row of those subarrays must
+        // read as if each row had been written on its own, right after the
+        // load and after one query (GSA's destruction included).
+        let lut = Lut::from_fn("shared-vs-rows8", 8, 16, |x| (x * 7 + 1) & 0xFFFF).unwrap();
+        let inputs: Vec<u64> = (0..16u64).map(|i| i * 16 + 5).collect();
+        let per_row = slots_per_row(32, lut.slot_bits());
+        for design in DesignKind::ALL {
+            let mut shared = engine();
+            let mut part =
+                PartitionedLut::load(&mut shared, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            assert_eq!(part.segment_count(), 4);
+            // The oracle: the same stores with every row rewritten one by
+            // one, each into its own buffer.
+            let mut by_row = engine();
+            let mut oracle =
+                PartitionedLut::load(&mut by_row, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+            for seg in oracle.segments() {
+                for (i, &elem) in seg.lut().elements().iter().enumerate() {
+                    let bytes = pack_slots(&vec![elem; per_row], lut.slot_bits(), 32).unwrap();
+                    for subarray in [seg.subarray(), seg.master()] {
+                        let loc = RowLoc {
+                            bank: BankId(0),
+                            subarray,
+                            row: RowId(i as u16),
+                        };
+                        by_row.poke_row(loc, &bytes).unwrap();
+                    }
+                }
+            }
+            let subarrays: Vec<SubarrayId> = part
+                .segments()
+                .iter()
+                .flat_map(|seg| [seg.subarray(), seg.master()])
+                .collect();
+            let same_rows = |stage: &str, a: &Engine, b: &Engine| {
+                for &subarray in &subarrays {
+                    for row in 0..64 {
+                        let loc = RowLoc {
+                            bank: BankId(0),
+                            subarray,
+                            row: RowId(row),
+                        };
+                        assert_eq!(
+                            a.peek_row(loc).unwrap(),
+                            b.peek_row(loc).unwrap(),
+                            "{design} {stage}: subarray {} row {row}",
+                            subarray.0
+                        );
+                    }
+                }
+            };
+            same_rows("after the load", &shared, &by_row);
+            let (got, cost) = part
+                .query(&mut shared, design, SRC, DST, &inputs, RowId(0), RowId(1))
+                .unwrap();
+            let (want, want_cost) = oracle
+                .query(&mut by_row, design, SRC, DST, &inputs, RowId(0), RowId(1))
+                .unwrap();
+            assert_eq!((got, cost), (want, want_cost), "{design}");
+            same_rows("after a query", &shared, &by_row);
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
-use pluto_dram::{BankId, Engine, RowId, RowLoc, SubarrayId};
+use pluto_dram::{BankId, Engine, RowId, RowLoc, RowTable, SubarrayId};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -30,15 +30,29 @@ pub struct PackedCacheStats {
     pub bytes: usize,
 }
 
-/// Packed element rows, shared between the cache and every DRAM
-/// resident copy.
-type PackedRows = Arc<Vec<Arc<Vec<u8>>>>;
+/// One segment of a cached LUT: the table its pLUTo subarray holds and
+/// that table's packed rows, shared whole into DRAM.
+#[derive(Debug)]
+pub(crate) struct PackedSegment {
+    /// The parent itself when it is exactly one segment; otherwise the
+    /// padded `name@segK` slice at the parent's slot floor.
+    pub(crate) lut: Lut,
+    /// Row *i* holds element *i* replicated across every slot.
+    pub(crate) rows: RowTable,
+}
+
+/// A cached LUT's segments in order, shared between the cache and every
+/// load.
+pub(crate) type PackedSegments = Arc<[PackedSegment]>;
+
+/// Cache key: the LUT itself (name, shape and elements — see [`Lut`]'s
+/// `Eq`/`Hash`), the row width it was packed for and the rows per segment
+/// it was cut into.
+type PackedKey = (Lut, usize, usize);
 
 #[derive(Debug, Default)]
 struct PackedCache {
-    /// Keyed by the LUT itself (name, shape and elements — see
-    /// [`Lut`]'s `Eq`/`Hash`) and the row width it was packed for.
-    entries: HashMap<(Lut, usize), PackedRows>,
+    entries: HashMap<PackedKey, PackedSegments>,
     /// Sum of the entries' [`charged_bytes`].
     bytes: usize,
     hits: u64,
@@ -56,19 +70,19 @@ struct PackedCache {
 const PACKED_CACHE_BUDGET: usize = 256 << 20;
 
 impl PackedCache {
-    /// Caches `rows` under `key`, charged `bytes`. An insert that would
-    /// take the total past [`PACKED_CACHE_BUDGET`] first clears the map
-    /// (a deterministic guard against unbounded growth, counting every
+    /// Caches `segments` under `key`, charged `bytes`. An insert that
+    /// would take the total past [`PACKED_CACHE_BUDGET`] first clears the
+    /// map (a deterministic guard against unbounded growth, counting every
     /// dropped entry as an eviction), so the newest table always stays
     /// cached, even one larger than the whole budget.
-    fn insert(&mut self, key: (Lut, usize), rows: PackedRows, bytes: usize) {
+    fn insert(&mut self, key: PackedKey, segments: PackedSegments, bytes: usize) {
         if self.bytes + bytes > PACKED_CACHE_BUDGET {
             self.evictions += self.entries.len() as u64;
             self.entries.clear();
             self.bytes = 0;
         }
         self.bytes += bytes;
-        self.entries.insert(key, rows);
+        self.entries.insert(key, segments);
     }
 }
 
@@ -83,66 +97,91 @@ fn packed_cache() -> MutexGuard<'static, PackedCache> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Heap bytes a cache entry pins: every row's buffer, its `Arc`
-/// allocation (two counts and the `Vec` header) and its handle in the
-/// outer table, plus the key's name and elements, which the key may be
-/// the last to hold.
-fn charged_bytes(lut: &Lut, rows: &[Arc<Vec<u8>>]) -> usize {
-    let per_row = size_of::<Arc<Vec<u8>>>() + 2 * size_of::<usize>() + size_of::<Vec<u8>>();
-    let row_bytes: usize = rows.iter().map(|row| row.capacity() + per_row).sum();
-    row_bytes + lut.len() * size_of::<u64>() + lut.name().len()
+/// Heap bytes a cache entry pins: each distinct row buffer with its `Arc`
+/// allocation (two counts and the `Vec` header), each segment table's
+/// handles and allocation, and the elements and name of the key and of
+/// every segment `Lut` that is not the key itself.
+fn charged_bytes(lut: &Lut, row_bytes: usize, segments: &[PackedSegment]) -> usize {
+    let arc_vec = 2 * size_of::<usize>() + size_of::<Vec<u8>>();
+    let lut_bytes = |l: &Lut| l.len() * size_of::<u64>() + l.name().len();
+    let table_rows: usize = segments.iter().map(|seg| seg.rows.len()).sum();
+    let zero_row = usize::from(table_rows > lut.len());
+    let rows = (lut.len() + zero_row) * (row_bytes + arc_vec);
+    let handles = table_rows * size_of::<Option<Arc<Vec<u8>>>>() + segments.len() * arc_vec;
+    let segment_luts: usize = segments
+        .iter()
+        .filter(|seg| !std::ptr::eq(seg.lut.elements(), lut.elements()))
+        .map(|seg| lut_bytes(&seg.lut))
+        .sum();
+    rows + handles + lut_bytes(lut) + segment_luts
 }
 
-/// Returns the fully packed element rows for `lut` on a `row_bytes`
-/// geometry — row *i* holds element *i* replicated across every slot —
+/// Returns `lut`'s segments for a `row_bytes` geometry cut `segment_rows`
+/// rows apart, each with its packed rows as one shared [`RowTable`],
 /// serving repeated loads of the same LUT (re-runs, pooled cluster
-/// machines, GSA workload streams) from a process-wide cache of shared
-/// rows instead of re-packing.
+/// machines, GSA workload streams) from a process-wide cache instead of
+/// re-packing. Each call counts exactly one hit or one miss.
 ///
-/// Purely a *load-time* optimization: the cached rows enter the engine as
-/// copy-on-write handles ([`Engine::poke_rows_shared`]), so later in-DRAM
-/// mutation (GSA destruction, row writes) replaces the DRAM-side handle
+/// Purely a *load-time* optimization: a table enters the engine as a
+/// copy-on-write handle ([`Engine::poke_rows_shared`]), so later in-DRAM
+/// mutation (GSA destruction, row writes) replaces the DRAM-side table
 /// and can never leak back into the cache. Cache identity is the full
 /// LUT, elements included, so stale or aliased rows are structurally
 /// impossible; a table rebuilt equal to a cached one still hits.
 ///
-/// A partitioned LUT's segments slice this same parent-keyed entry
-/// (`pluto_core::partition`), so an N-segment load is one cache lookup,
-/// not N `name@segK` entries.
-pub(crate) fn packed_rows(lut: &Lut, row_bytes: usize) -> PackedRows {
-    let key = (lut.clone(), row_bytes);
+/// A partitioned LUT's segments are one entry, so an N-segment load is
+/// one cache lookup, not N `name@segK` lookups.
+///
+/// # Errors
+/// Fails if a segment table cannot be built (it cannot for a valid LUT).
+pub(crate) fn packed_segments(
+    lut: &Lut,
+    row_bytes: usize,
+    segment_rows: usize,
+) -> Result<PackedSegments, PlutoError> {
+    let key = (lut.clone(), row_bytes, segment_rows);
     // Lookup holds the lock only briefly; the O(lut_len × row_bytes)
     // packing below runs *unlocked* so one worker's miss on a large LUT
     // never stalls other cluster workers' loads.
     {
         let mut cache = packed_cache();
-        if let Some(rows) = cache.entries.get(&key).map(Arc::clone) {
+        if let Some(segments) = cache.entries.get(&key).map(Arc::clone) {
             cache.hits += 1;
-            return rows;
+            return Ok(segments);
         }
         cache.misses += 1;
     }
-    let rows = Arc::new(pack_element_rows(lut, row_bytes));
-    let bytes = charged_bytes(lut, &rows);
+    let segments: PackedSegments = pack_segments(lut, row_bytes, segment_rows)?.into();
+    let bytes = charged_bytes(lut, row_bytes, &segments);
     let mut cache = packed_cache();
     // Another worker may have packed the same LUT while we were
     // unlocked — prefer its entry so all loads share one allocation.
-    if let Some(rows) = cache.entries.get(&key) {
-        return Arc::clone(rows);
+    if let Some(segments) = cache.entries.get(&key) {
+        return Ok(Arc::clone(segments));
     }
-    cache.insert(key, Arc::clone(&rows), bytes);
-    rows
+    cache.insert(key, Arc::clone(&segments), bytes);
+    Ok(segments)
 }
 
-/// The packing work the cache elides: one fully packed row per element,
-/// the element replicated across every slot — a single pass over the
-/// element table.
-fn pack_element_rows(lut: &Lut, row_bytes: usize) -> Vec<Arc<Vec<u8>>> {
+/// The work the cache elides: one pass over the element table packs one
+/// row per element (the element replicated across every slot), then the
+/// rows are cut into `segment_rows`-row segments. A LUT exactly one
+/// segment long is its own segment; otherwise each segment is a
+/// `name@segK` table at the parent's true `output_bits` with the parent's
+/// slot width pinned as a floor, so its rows are the parent's rows, and a
+/// tail shorter than a power of two is padded with masked-out zero
+/// elements whose rows all share one zero row.
+fn pack_segments(
+    lut: &Lut,
+    row_bytes: usize,
+    segment_rows: usize,
+) -> Result<Vec<PackedSegment>, PlutoError> {
     let slot_bits = lut.slot_bits();
     let per_row = slots_per_row(row_bytes, slot_bits);
     let mut values = vec![0u64; per_row];
     let mut row = Vec::new();
-    lut.elements()
+    let rows: Vec<Arc<Vec<u8>>> = lut
+        .elements()
         .iter()
         .map(|&elem| {
             values.fill(elem);
@@ -151,6 +190,40 @@ fn pack_element_rows(lut: &Lut, row_bytes: usize) -> Vec<Arc<Vec<u8>>> {
             pack_slots_into(&values, slot_bits, row_bytes, &mut row)
                 .expect("validated elements always pack");
             Arc::new(row.clone())
+        })
+        .collect();
+    if lut.len() == segment_rows {
+        let rows = RowTable::new(row_bytes, rows)?;
+        return Ok(vec![PackedSegment {
+            lut: lut.clone(),
+            rows,
+        }]);
+    }
+    let zero_row = Arc::new(vec![0u8; row_bytes]);
+    rows.chunks(segment_rows)
+        .enumerate()
+        .map(|(k, chunk)| {
+            let base = k * segment_rows;
+            let mut elements = lut.elements()[base..base + chunk.len()].to_vec();
+            // Inputs are validated against the parent length, so a pad row
+            // can never be the matching row of any query.
+            elements.resize(chunk.len().next_power_of_two(), 0);
+            let padded = elements.len();
+            let seg = Lut::from_table(
+                format!("{}@seg{k}", lut.name()),
+                padded.trailing_zeros(),
+                lut.output_bits(),
+                elements,
+            )?
+            .with_min_slot_bits(slot_bits);
+            debug_assert_eq!(
+                seg.slot_bits(),
+                slot_bits,
+                "segment layout must match the unpartitioned layout"
+            );
+            let pad = std::iter::repeat_with(|| Arc::clone(&zero_row)).take(padded - chunk.len());
+            let rows = RowTable::new(row_bytes, chunk.iter().cloned().chain(pad))?;
+            Ok(PackedSegment { lut: seg, rows })
         })
         .collect()
 }
@@ -208,31 +281,32 @@ impl LutStore {
         // Validate before packing, so a LUT that cannot be placed never
         // reaches the packed-row cache.
         check_placement(engine, &lut, subarray, master, master_row_base)?;
-        // Packed element rows come from the process-wide cache: repeated
-        // loads of the same LUT (pooled cluster machines, GSA streams)
-        // skip the packing work entirely, and the bulk poke shares the
-        // cached rows into DRAM as copy-on-write handles (a repeat load
-        // of an unchanged table moves no bytes at all).
-        let rows = packed_rows(&lut, engine.config().row_bytes);
-        LutStore::load_sliced(engine, lut, bank, subarray, master, master_row_base, &rows)
+        // The LUT's own rows are the one-segment entry of the packed-row
+        // cache: repeated loads of the same LUT skip the packing work, and
+        // the table enters DRAM as copy-on-write handles (a repeat load of
+        // an unchanged table moves nothing at all).
+        let segments = packed_segments(&lut, engine.config().row_bytes, lut.len())?;
+        let rows = &segments[0].rows;
+        LutStore::load_shared(engine, lut, bank, subarray, master, master_row_base, rows)
     }
 
-    /// Materializes a LUT whose packed rows the caller already holds — the
-    /// partitioned path, where every segment is a slice of the parent's
-    /// single cached pack plus shared zero-padding rows. Performs the same
+    /// Materializes a LUT whose packed rows the caller already holds as
+    /// one table — the partitioned path, where each segment's table comes
+    /// from the parent's packed-row cache entry. Performs the same
     /// placement validation as [`LutStore::load`] but no cache lookup and
-    /// no packing; `rows` must hold exactly `lut.len()` packed rows.
+    /// no packing. At row 0 of an empty subarray the table lands as one
+    /// handle, so a segment load costs two refcount increments.
     ///
     /// # Errors
     /// Same conditions as [`LutStore::load`], plus a row-count mismatch.
-    pub(crate) fn load_sliced(
+    pub(crate) fn load_shared(
         engine: &mut Engine,
         lut: Lut,
         bank: BankId,
         subarray: SubarrayId,
         master: SubarrayId,
         master_row_base: u16,
-        rows: &[Arc<Vec<u8>>],
+        rows: &RowTable,
     ) -> Result<Self, PlutoError> {
         if rows.len() != lut.len() {
             return Err(PlutoError::InvalidLut {
@@ -393,7 +467,9 @@ fn check_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::DesignKind;
     use crate::lut::catalog;
+    use crate::partition::PartitionedLut;
     use pluto_dram::DramConfig;
 
     fn engine() -> Engine {
@@ -523,6 +599,46 @@ mod tests {
         );
     }
 
+    /// 32 B rows over 64-row subarrays with room for four segments.
+    fn wide_engine() -> Engine {
+        Engine::new(DramConfig {
+            row_bytes: 32,
+            burst_bytes: 8,
+            banks: 1,
+            subarrays_per_bank: 16,
+            rows_per_subarray: 64,
+            ..DramConfig::ddr4_2400()
+        })
+    }
+
+    #[test]
+    fn shared_table_load_costs_two_refcounts_per_segment() {
+        let lut = Lut::from_fn("refcount-probe8", 8, 16, |x| x ^ 0x5A).unwrap();
+        let entry = packed_segments(&lut, 32, 64).unwrap();
+        assert_eq!(entry.len(), 4, "256 entries over 64-row subarrays");
+        let counts = || -> Vec<usize> { entry.iter().map(|seg| seg.rows.share_count()).collect() };
+        assert_eq!(counts(), [1; 4], "only the cache entry holds each table");
+        let mut e = wide_engine();
+        PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+        assert_eq!(
+            counts(),
+            [3; 4],
+            "a fresh load shares each table into pLUTo + master"
+        );
+        PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        assert_eq!(
+            counts(),
+            [3; 4],
+            "a repeat load into the same engine shares nothing new"
+        );
+        drop(e);
+        assert_eq!(
+            counts(),
+            [1; 4],
+            "dropping the engine releases one handle per subarray"
+        );
+    }
+
     #[test]
     fn cache_is_immune_to_in_dram_destruction() {
         let lut = Lut::from_table("cache-destroy-probe", 2, 4, vec![2, 3, 5, 7]).unwrap();
@@ -543,6 +659,44 @@ mod tests {
         let mut e2 = engine();
         let s2 = LutStore::load(&mut e2, lut, BankId(0), SubarrayId(1), SubarrayId(0), 60).unwrap();
         assert_eq!(e2.peek_row(s2.element_row(1)).unwrap(), pristine);
+
+        // A GSA query destroys every segment of a shared-table load in
+        // DRAM; a second machine loaded from the same entry (a cache hit)
+        // still reads pristine rows.
+        let big = Lut::from_fn("cache-destroy-probe8", 8, 16, |x| x * 3).unwrap();
+        let rows_of = |e: &Engine, part: &PartitionedLut| -> Vec<Vec<u8>> {
+            part.segments()
+                .iter()
+                .flat_map(|seg| {
+                    (0..seg.lut().len()).map(|i| e.peek_row(seg.element_row(i)).unwrap())
+                })
+                .collect()
+        };
+        let mut m1 = wide_engine();
+        let mut p1 = PartitionedLut::load(&mut m1, big.clone(), BankId(0), SubarrayId(2)).unwrap();
+        let pristine = rows_of(&m1, &p1);
+        p1.query(
+            &mut m1,
+            DesignKind::Gsa,
+            SubarrayId(0),
+            SubarrayId(1),
+            &[0, 100, 200],
+            RowId(0),
+            RowId(1),
+        )
+        .unwrap();
+        assert!(
+            rows_of(&m1, &p1).iter().flatten().all(|&b| b == 0),
+            "GSA destroyed every segment"
+        );
+        let hits = packed_cache_stats().hits;
+        let mut m2 = wide_engine();
+        let p2 = PartitionedLut::load(&mut m2, big, BankId(0), SubarrayId(2)).unwrap();
+        assert!(
+            packed_cache_stats().hits > hits,
+            "the second load is a cache hit"
+        );
+        assert_eq!(rows_of(&m2, &p2), pristine);
     }
 
     #[test]
@@ -580,7 +734,7 @@ mod tests {
         let mut cache = PackedCache::default();
         let key = |i: u64| Lut::from_table(format!("k{i}"), 1, 4, vec![i, 0]).unwrap();
         let mut insert = |i: u64, bytes: usize| {
-            cache.insert((key(i), 32), PackedRows::default(), bytes);
+            cache.insert((key(i), 32, 2), Vec::new().into(), bytes);
             (cache.entries.len(), cache.bytes, cache.evictions)
         };
         let half = PACKED_CACHE_BUDGET / 2;
@@ -589,7 +743,7 @@ mod tests {
         assert_eq!(insert(2, 1), (1, 1, 2), "past it: both dropped first");
         let huge = 2 * PACKED_CACHE_BUDGET;
         assert_eq!(insert(3, huge), (1, huge, 3), "an oversized table stays");
-        assert!(cache.entries.contains_key(&(key(3), 32)));
+        assert!(cache.entries.contains_key(&(key(3), 32, 2)));
     }
 
     #[test]

@@ -4,11 +4,22 @@
 //! full 8 GB module can be simulated without allocating 8 GB. A missing row
 //! reads as all-zeros (freshly initialized DRAM).
 //!
+//! Storage is copy-on-write at two levels. Each row is an `Arc`'d byte
+//! buffer, and each subarray's row table (its vector of row handles) sits
+//! behind one more `Arc`, so a LUT load shares a whole cached
+//! [`RowTable`] into a subarray as a single handle and dropping the array
+//! releases one handle per subarray, not one per row. Every write
+//! reaches a row table through one `Arc::make_mut` helper, so no write
+//! can land in a table another subarray (or the caller) still holds. Row
+//! buffers and open-row state sit outside the shared table, so
+//! activations never copy it.
+//!
 //! This module is *purely functional*: it models what data ends up where,
 //! with no notion of time or energy (that is [`crate::engine`]'s job).
 
 use crate::error::DramError;
 use crate::geometry::{BankId, DramConfig, RowId, RowLoc, SubarrayId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,17 +46,66 @@ impl RowBuffer {
     }
 }
 
-/// Row storage of one subarray: a dense, lazily grown vector indexed by
-/// row id (`None` = never written, reads as zeros). Rows are held behind
-/// `Arc` with copy-on-write discipline — every mutation either replaces
-/// the slot or writes through `Arc::get_mut` when sole owner — so bulk
-/// loads from the packed-row cache and master→pLUTo reload copies are
-/// O(1) handle clones per row instead of row-byte memcpys.
+/// Row handles of one subarray: a dense, lazily grown vector indexed by
+/// row id (`None` = never written, reads as zeros). A row is replaced, or
+/// written through `Arc::get_mut` when this table is its sole owner.
 type RowSlots = Vec<Option<Arc<Vec<u8>>>>;
+
+/// A whole subarray's worth of rows behind one `Arc`, every row exactly
+/// `row_bytes` wide: what a LUT load shares into DRAM.
+/// [`MemoryArray::set_rows_shared`] installs it into an empty subarray
+/// as one handle, so a load costs O(1) per subarray instead of one row
+/// handle per row. The width is checked once, when the table is built.
+#[derive(Debug, Clone)]
+pub struct RowTable {
+    row_bytes: usize,
+    rows: Arc<RowSlots>,
+}
+
+impl RowTable {
+    /// Builds a table whose row `i` is `rows[i]`.
+    ///
+    /// # Errors
+    /// Fails if a row is not exactly `row_bytes` wide.
+    pub fn new(
+        row_bytes: usize,
+        rows: impl IntoIterator<Item = Arc<Vec<u8>>>,
+    ) -> Result<Self, DramError> {
+        let rows: RowSlots = rows.into_iter().map(Some).collect();
+        if let Some(bad) = rows.iter().flatten().find(|row| row.len() != row_bytes) {
+            return Err(DramError::RowSizeMismatch {
+                expected: row_bytes,
+                actual: bad.len(),
+            });
+        }
+        Ok(RowTable {
+            row_bytes,
+            rows: Arc::new(rows),
+        })
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Holders of this table's storage: every `RowTable` clone plus every
+    /// subarray that holds it whole.
+    pub fn share_count(&self) -> usize {
+        Arc::strong_count(&self.rows)
+    }
+}
 
 #[derive(Debug, Clone, Default)]
 struct SubarrayState {
-    rows: RowSlots,
+    /// Shared with every subarray (and packed-row cache entry) the same
+    /// table was loaded into; written only through `table_mut`.
+    rows: Arc<RowSlots>,
     buffer: Option<RowBuffer>,
 }
 
@@ -57,11 +117,19 @@ impl SubarrayState {
     /// The (growable) slot for a row; bounds must already be checked.
     fn row_slot(&mut self, row: RowId) -> &mut Option<Arc<Vec<u8>>> {
         let idx = row.0 as usize;
-        if self.rows.len() <= idx {
-            self.rows.resize(idx + 1, None);
-        }
-        &mut self.rows[idx]
+        &mut table_mut(&mut self.rows, idx + 1)[idx]
     }
+}
+
+/// The one write path into a row table: copies the table first if any
+/// other subarray or [`RowTable`] still holds it, then grows it to at
+/// least `len` slots.
+fn table_mut(rows: &mut Arc<RowSlots>, len: usize) -> &mut RowSlots {
+    let rows = Arc::make_mut(rows);
+    if rows.len() < len {
+        rows.resize(len, None);
+    }
+    rows
 }
 
 /// Stores `data` into a row slot, reusing the existing allocation when
@@ -165,45 +233,53 @@ impl MemoryArray {
         Ok(())
     }
 
-    /// Bulk zero-cost row fill from shared packed rows: row `first + i`
-    /// of the subarray becomes `rows[i]`. Slots that already hold the
-    /// same `Arc` (a repeated load of a cached LUT) are skipped, so the
-    /// steady-state load of an unchanged table is O(1) per row with no
-    /// byte copies at all.
+    /// Bulk zero-cost row fill from a shared table: row `first + i` of the
+    /// subarray becomes `table`'s row `i`. At row 0 of a subarray that
+    /// holds no row yet, the subarray takes the whole table as one handle;
+    /// if it already holds this very table, nothing changes. Otherwise
+    /// the rows are written one handle at a time, skipping slots that
+    /// already hold the same row. Either way no row bytes are copied.
     ///
     /// # Errors
-    /// Fails if the row range is out of bounds or a stored row is not
-    /// exactly one row wide. Width is only checked on rows actually
-    /// stored — a pointer-equal slot was validated when first stored —
-    /// so a mixed-width slice may error after earlier rows were written.
+    /// Fails if the row range is out of bounds or the table's rows are not
+    /// exactly one row wide; nothing is written then.
     pub fn set_rows_shared(
         &mut self,
         bank: BankId,
         subarray: SubarrayId,
         first: RowId,
-        rows: &[Arc<Vec<u8>>],
+        table: &RowTable,
     ) -> Result<(), DramError> {
-        let Some(count) = check_row_range(self, bank, subarray, first, rows.len())? else {
+        let Some(count) = check_row_range(self, bank, subarray, first, table.len())? else {
             return Ok(());
         };
-        let row_bytes = self.cfg.row_bytes;
-        let sa = self.sa(bank, subarray);
-        let base = first.0 as usize;
-        if sa.rows.len() < base + count {
-            sa.rows.resize(base + count, None);
+        if table.row_bytes != self.cfg.row_bytes {
+            return Err(DramError::RowSizeMismatch {
+                expected: self.cfg.row_bytes,
+                actual: table.row_bytes,
+            });
         }
-        for (slot, data) in sa.rows[base..base + count].iter_mut().zip(rows) {
-            match slot {
-                Some(existing) if Arc::ptr_eq(existing, data) => {}
-                _ => {
-                    if data.len() != row_bytes {
-                        return Err(DramError::RowSizeMismatch {
-                            expected: row_bytes,
-                            actual: data.len(),
-                        });
-                    }
-                    *slot = Some(Arc::clone(data));
-                }
+        let whole = first.0 == 0;
+        let sa = match self.subarrays.entry((bank, subarray)) {
+            Entry::Vacant(slot) if whole => {
+                slot.insert(SubarrayState {
+                    rows: Arc::clone(&table.rows),
+                    buffer: None,
+                });
+                return Ok(());
+            }
+            entry => entry.or_default(),
+        };
+        if whole && (Arc::ptr_eq(&sa.rows, &table.rows) || sa.rows.is_empty()) {
+            sa.rows = Arc::clone(&table.rows);
+            return Ok(());
+        }
+        let base = first.0 as usize;
+        let rows = table_mut(&mut sa.rows, base + count);
+        for (slot, data) in rows[base..base + count].iter_mut().zip(table.rows.iter()) {
+            match (slot.as_ref(), data) {
+                (Some(existing), Some(data)) if Arc::ptr_eq(existing, data) => {}
+                _ => slot.clone_from(data),
             }
         }
         Ok(())
@@ -239,15 +315,19 @@ impl MemoryArray {
                 })
                 .collect()
         };
-        let sa = self.sa(bank, to);
-        for (i, handle) in handles.into_iter().enumerate() {
-            *sa.row_slot(RowId(to_first.0 + i as u16)) = handle;
+        let base = to_first.0 as usize;
+        let rows = table_mut(&mut self.sa(bank, to).rows, base + count);
+        for (slot, handle) in rows[base..base + count].iter_mut().zip(handles) {
+            *slot = handle;
         }
         Ok(())
     }
 
     /// Bulk functional row clear: rows `first .. first + count` of the
-    /// subarray revert to the never-written state (read as zeros).
+    /// subarray revert to the never-written state (read as zeros). A clear
+    /// that covers every stored row swaps in an empty table, so clearing
+    /// a shared table (GSA destroying a freshly loaded segment) never
+    /// copies it first.
     ///
     /// # Errors
     /// Fails if the row range is out of bounds.
@@ -261,9 +341,18 @@ impl MemoryArray {
         let Some(count) = check_row_range(self, bank, subarray, first, count)? else {
             return Ok(());
         };
-        let sa = self.sa(bank, subarray);
-        for i in 0..count {
-            *sa.row_slot(RowId(first.0 + i as u16)) = None;
+        let Some(sa) = self.subarrays.get_mut(&(bank, subarray)) else {
+            return Ok(());
+        };
+        let first = first.0 as usize;
+        let end = (first + count).min(sa.rows.len());
+        if first == 0 && end == sa.rows.len() {
+            match Arc::get_mut(&mut sa.rows) {
+                Some(rows) => rows.clear(),
+                None => sa.rows = Arc::default(),
+            }
+        } else if first < end {
+            table_mut(&mut sa.rows, 0)[first..end].fill(None);
         }
         Ok(())
     }
@@ -436,10 +525,7 @@ impl MemoryArray {
             let SubarrayState { rows, buffer } = self.sa(bank, to);
             let data = &buffer.as_ref().expect("buffer created above").data;
             let idx = open.0 as usize;
-            if rows.len() <= idx {
-                rows.resize(idx + 1, None);
-            }
-            store_bytes(&mut rows[idx], data);
+            store_bytes(&mut table_mut(rows, idx + 1)[idx], data);
         }
         // Hand the (unchanged) source data back to its buffer.
         std::mem::swap(
@@ -779,10 +865,15 @@ mod tests {
         assert!(arr.read_row_into(RowLoc::new(9, 0, 0), &mut buf).is_err());
     }
 
+    /// Rows 1, 2, 3, 4 (each row filled with its value) as one table.
+    fn table4() -> RowTable {
+        RowTable::new(8, (0..4u8).map(|i| Arc::new(vec![i + 1; 8]))).unwrap()
+    }
+
     #[test]
     fn bulk_shared_rows_copy_clear_and_cow() {
         let mut arr = MemoryArray::new(tiny_cfg());
-        let rows: Vec<Arc<Vec<u8>>> = (0..4u8).map(|i| Arc::new(vec![i + 1; 8])).collect();
+        let rows = table4();
         arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &rows)
             .unwrap();
         assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![2; 8]);
@@ -790,7 +881,7 @@ mod tests {
         arr.set_rows_shared(BankId(0), SubarrayId(0), RowId(2), &rows)
             .unwrap();
         // Copy into a second subarray, then mutate the copy: COW keeps
-        // the source rows (and the caller's Arcs) intact.
+        // the source rows (and the caller's table) intact.
         arr.copy_rows(
             BankId(0),
             SubarrayId(0),
@@ -803,7 +894,7 @@ mod tests {
         assert_eq!(arr.row(RowLoc::new(0, 1, 1)).unwrap(), vec![2; 8]);
         arr.set_row(RowLoc::new(0, 1, 1), &[9; 8]).unwrap();
         assert_eq!(arr.row(RowLoc::new(0, 0, 3)).unwrap(), vec![2; 8]);
-        assert_eq!(*rows[1], vec![2u8; 8]);
+        assert_eq!(rows.rows[1].as_deref(), Some(&vec![2u8; 8]));
         // Clearing reverts rows to the never-written (all-zeros) state.
         arr.clear_rows(BankId(0), SubarrayId(0), RowId(2), 4)
             .unwrap();
@@ -812,9 +903,11 @@ mod tests {
         assert!(arr
             .set_rows_shared(BankId(0), SubarrayId(0), RowId(14), &rows)
             .is_err());
+        let narrow = RowTable::new(3, [Arc::new(vec![0; 3])]).unwrap();
         assert!(arr
-            .set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &[Arc::new(vec![0; 3])])
+            .set_rows_shared(BankId(0), SubarrayId(0), RowId(0), &narrow)
             .is_err());
+        assert!(RowTable::new(8, [Arc::new(vec![0; 8]), Arc::new(vec![0; 3])]).is_err());
         assert!(arr
             .copy_rows(
                 BankId(0),
@@ -831,6 +924,134 @@ mod tests {
         // Empty ranges are no-ops.
         arr.clear_rows(BankId(0), SubarrayId(0), RowId(0), 0)
             .unwrap();
+    }
+
+    #[test]
+    fn shared_table_loads_whole_only_into_empty_subarrays() {
+        let mut arr = MemoryArray::new(tiny_cfg());
+        let table = table4();
+        let load = |arr: &mut MemoryArray, sa: u16| {
+            arr.set_rows_shared(BankId(0), SubarrayId(sa), RowId(0), &table)
+                .unwrap();
+        };
+        // An empty subarray takes the table as one handle; a repeat load
+        // of the very same table changes nothing.
+        load(&mut arr, 0);
+        assert_eq!(table.share_count(), 2);
+        load(&mut arr, 0);
+        assert_eq!(table.share_count(), 2);
+        // A subarray that already holds a row gets the rows one by one
+        // and keeps the row it had.
+        arr.set_row(RowLoc::new(0, 1, 5), &[7; 8]).unwrap();
+        load(&mut arr, 1);
+        assert_eq!(
+            table.share_count(),
+            2,
+            "subarray 1 holds rows, not the table"
+        );
+        for r in 0..4u16 {
+            assert_eq!(arr.row(RowLoc::new(0, 1, r)).unwrap(), vec![r as u8 + 1; 8]);
+        }
+        assert_eq!(arr.row(RowLoc::new(0, 1, 5)).unwrap(), vec![7; 8]);
+        // A clear of every row lets go of the table; the emptied subarray
+        // takes it whole again.
+        arr.clear_rows(BankId(0), SubarrayId(0), RowId(0), 4)
+            .unwrap();
+        assert_eq!(table.share_count(), 1);
+        load(&mut arr, 0);
+        assert_eq!(table.share_count(), 2);
+    }
+
+    #[test]
+    fn shared_table_writes_never_reach_other_holders() {
+        type Writer = fn(&mut MemoryArray);
+        let writers: [(&str, Writer); 10] = [
+            ("set_row", |a| {
+                a.set_row(RowLoc::new(0, 1, 2), &[0xEE; 8]).unwrap();
+            }),
+            ("set_rows_shared at row 1", |a| {
+                let other = RowTable::new(8, [Arc::new(vec![0xEE; 8])]).unwrap();
+                a.set_rows_shared(BankId(0), SubarrayId(1), RowId(1), &other)
+                    .unwrap();
+            }),
+            ("copy_rows", |a| {
+                a.set_row(RowLoc::new(0, 2, 0), &[0xEE; 8]).unwrap();
+                a.copy_rows(
+                    BankId(0),
+                    SubarrayId(2),
+                    RowId(0),
+                    SubarrayId(1),
+                    RowId(1),
+                    2,
+                )
+                .unwrap();
+            }),
+            ("clear_rows of the whole table", |a| {
+                a.clear_rows(BankId(0), SubarrayId(1), RowId(0), 4).unwrap();
+            }),
+            ("partial clear_rows", |a| {
+                a.clear_rows(BankId(0), SubarrayId(1), RowId(1), 2).unwrap();
+            }),
+            ("activate_into", |a| {
+                a.activate(RowLoc::new(0, 1, 0), false).unwrap();
+                a.activate_into(RowLoc::new(0, 1, 3)).unwrap();
+            }),
+            ("write_buffer", |a| {
+                a.activate(RowLoc::new(0, 1, 2), false).unwrap();
+                a.write_buffer(BankId(0), SubarrayId(1), 0, &[0xEE; 4])
+                    .unwrap();
+            }),
+            ("lisa_rbm write-through", |a| {
+                a.activate(RowLoc::new(0, 1, 2), false).unwrap();
+                a.deposit_buffer(BankId(0), SubarrayId(2), &[0xEE; 8]);
+                a.lisa_rbm(BankId(0), SubarrayId(2), SubarrayId(1)).unwrap();
+            }),
+            ("triple_row_activate", |a| {
+                a.triple_row_activate(BankId(0), SubarrayId(1), [RowId(0), RowId(1), RowId(2)])
+                    .unwrap();
+            }),
+            ("shift_row_bits", |a| {
+                a.shift_row_bits(RowLoc::new(0, 1, 3), true, 3).unwrap();
+            }),
+        ];
+        let rows = |arr: &MemoryArray, sa: u16| -> Vec<Vec<u8>> {
+            (0..16)
+                .map(|r| arr.row(RowLoc::new(0, sa, r)).unwrap())
+                .collect()
+        };
+        for (name, write) in writers {
+            let table = table4();
+            let pristine = rows(&MemoryArray::new(tiny_cfg()), 0);
+            // The same two subarrays with every row written on its own: a
+            // write must read the same on both arrays.
+            let mut shared = MemoryArray::new(tiny_cfg());
+            let mut by_row = MemoryArray::new(tiny_cfg());
+            for sa in [0, 1] {
+                shared
+                    .set_rows_shared(BankId(0), SubarrayId(sa), RowId(0), &table)
+                    .unwrap();
+                for (r, row) in table.rows.iter().flatten().enumerate() {
+                    by_row.set_row(RowLoc::new(0, sa, r as u16), row).unwrap();
+                }
+            }
+            assert_eq!(table.share_count(), 3, "{name}: loaded whole");
+            let loaded = rows(&shared, 1);
+            assert_ne!(loaded, pristine);
+            write(&mut shared);
+            write(&mut by_row);
+            for sa in 0..3 {
+                assert_eq!(
+                    rows(&shared, sa),
+                    rows(&by_row, sa),
+                    "{name}: subarray {sa}"
+                );
+            }
+            assert_ne!(rows(&shared, 1), loaded, "{name}: the write lands");
+            assert_eq!(rows(&shared, 0), loaded, "{name}: reached subarray 0");
+            let held: Vec<Vec<u8>> = table.rows.iter().flatten().map(|r| r.to_vec()).collect();
+            assert_eq!(held, loaded[..4], "{name}: reached the caller's table");
+            assert_eq!(table.share_count(), 2, "{name}: subarray 1 let go");
+        }
     }
 
     #[test]

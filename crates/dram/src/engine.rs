@@ -14,7 +14,7 @@
 //! is unaffected by parallelism (paper §8.3), so the engine's accumulator is
 //! authoritative in both cases.
 
-use crate::array::{MemoryArray, RowBuffer};
+use crate::array::{MemoryArray, RowBuffer, RowTable};
 use crate::command::{Command, SweepStepKind};
 use crate::energy::EnergyModel;
 use crate::error::DramError;
@@ -24,7 +24,6 @@ use crate::timing::TimingParams;
 use crate::timing_model::{ActClass, RankState, TimingBackend, TimingSig, ACT_QUEUE_DEPTH};
 use crate::units::{PicoJoules, Picos};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Command-level DRAM simulator with functional, timing, and energy models.
 #[derive(Debug, Clone)]
@@ -468,11 +467,12 @@ impl Engine {
         self.array.read_row_into(loc, out)
     }
 
-    /// Zero-cost backdoor: bulk row fill from shared packed rows — row
-    /// `first + i` becomes `rows[i]` as a copy-on-write handle, with
-    /// repeat loads of an unchanged table skipped entirely (see
-    /// [`MemoryArray::set_rows_shared`]). This is how a cached segment
-    /// pack lands in DRAM without re-copying a byte.
+    /// Zero-cost backdoor: bulk row fill from a shared table — row
+    /// `first + i` becomes the table's row `i` as a copy-on-write handle
+    /// (see [`MemoryArray::set_rows_shared`]). At row 0 of an empty
+    /// subarray the whole table lands as one handle, and a repeat load of
+    /// the same table is a no-op: this is how a cached LUT segment lands
+    /// in DRAM without touching a row.
     ///
     /// # Errors
     /// Fails on out-of-bounds ranges or mismatched row lengths.
@@ -481,9 +481,9 @@ impl Engine {
         bank: BankId,
         subarray: SubarrayId,
         first: RowId,
-        rows: &[Arc<Vec<u8>>],
+        table: &RowTable,
     ) -> Result<(), DramError> {
-        self.array.set_rows_shared(bank, subarray, first, rows)
+        self.array.set_rows_shared(bank, subarray, first, table)
     }
 
     /// Zero-cost backdoor: reverts rows to the never-written state (read

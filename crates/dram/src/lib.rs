@@ -65,7 +65,7 @@ pub mod timing;
 pub mod timing_model;
 pub mod units;
 
-pub use array::{MemoryArray, RowBuffer, MAX_FIELD_BITS};
+pub use array::{MemoryArray, RowBuffer, RowTable, MAX_FIELD_BITS};
 pub use command::{Command, SweepStepKind};
 pub use energy::EnergyModel;
 pub use engine::{CostTape, Engine};

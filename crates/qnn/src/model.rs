@@ -28,7 +28,7 @@ use crate::requant::Requant;
 use crate::tensor::Tensor;
 use pluto_core::serve::{QuerySpec, Server};
 use pluto_core::session::ExecConfig;
-use pluto_core::{PlutoError, PlutoMachine};
+use pluto_core::{Lut, PlutoError, PlutoMachine};
 use sim_support::{Rng, SeedableRng, StdRng};
 use std::sync::Arc;
 
@@ -88,9 +88,72 @@ impl Layer {
 pub struct QuantModel {
     /// The pipeline, input side first.
     pub layers: Vec<Layer>,
+    /// The tables [`QuantModel::serve_infer`] queries, built with the
+    /// model.
+    tables: ServeTables,
+}
+
+/// One shared `Arc<Lut>` per distinct product width and requantization
+/// stage of a model's layers. Built once, so a served sample clones
+/// handles instead of rebuilding tables, and every lookup keyed on a
+/// table (the serve class, the packed-row cache, the machine's store
+/// map) takes its pointer fast path instead of comparing elements.
+#[derive(Debug, Clone, Default)]
+struct ServeTables {
+    products: Vec<(u32, Arc<Lut>)>,
+    requants: Vec<(Requant, Arc<Lut>)>,
+}
+
+impl ServeTables {
+    /// Tables that fail to build are left out; [`ServeTables::product`]
+    /// and [`ServeTables::requant`] then rebuild them and report the error.
+    fn for_layers(layers: &[Layer]) -> Self {
+        let mut tables = ServeTables::default();
+        for layer in layers {
+            let w = layer.linear.width();
+            if !tables.products.iter().any(|(k, _)| *k == w) {
+                if let Ok(lut) = smul_lut(w) {
+                    tables.products.push((w, Arc::new(lut)));
+                }
+            }
+            if let Some(r) = layer.requant {
+                if !tables.requants.iter().any(|(k, _)| *k == r) {
+                    if let Ok(lut) = r.lut() {
+                        tables.requants.push((r, Arc::new(lut)));
+                    }
+                }
+            }
+        }
+        tables
+    }
+
+    /// The signed `w`-bit product table. Built on the spot only for a
+    /// width no layer had when the model was built.
+    fn product(&self, w: u32) -> Result<Arc<Lut>, PlutoError> {
+        match self.products.iter().find(|(k, _)| *k == w) {
+            Some((_, lut)) => Ok(Arc::clone(lut)),
+            None => Ok(Arc::new(smul_lut(w)?)),
+        }
+    }
+
+    /// The requantization table of stage `r` (built on the spot likewise).
+    fn requant(&self, r: &Requant) -> Result<Arc<Lut>, PlutoError> {
+        match self.requants.iter().find(|(k, _)| k == r) {
+            Some((_, lut)) => Ok(Arc::clone(lut)),
+            None => Ok(Arc::new(r.lut()?)),
+        }
+    }
 }
 
 impl QuantModel {
+    /// A model over `layers`, input side first, with the tables
+    /// [`QuantModel::serve_infer`] queries built once here.
+    #[must_use]
+    pub fn new(layers: Vec<Layer>) -> Self {
+        let tables = ServeTables::for_layers(&layers);
+        QuantModel { layers, tables }
+    }
+
     /// The MNIST-sized reference MLP: 196→32→16→10 at 8-bit operands,
     /// weights seeded in `-8..=7`, hidden layers requantized through a
     /// 12-bit window (`>> 2`, clamp to int8), raw logits out. Input is
@@ -103,13 +166,11 @@ impl QuantModel {
             linear: Arc::new(QuantLinear::seeded(name, out, inp, 8, -8..=7, &mut rng)),
             requant,
         };
-        QuantModel {
-            layers: vec![
-                layer("mlp-fc1", 32, POOLED * POOLED, Some(hidden)),
-                layer("mlp-fc2", 16, 32, Some(hidden)),
-                layer("mlp-logits", 10, 16, None),
-            ],
-        }
+        QuantModel::new(vec![
+            layer("mlp-fc1", 32, POOLED * POOLED, Some(hidden)),
+            layer("mlp-fc2", 16, 32, Some(hidden)),
+            layer("mlp-logits", 10, 16, None),
+        ])
     }
 
     /// Lowers a 28×28 synthetic digit to the model's input vector: 2×2
@@ -187,7 +248,8 @@ impl QuantModel {
     /// Per layer: one product-stream query against the shared signed
     /// multiply table (operand fields pre-merged host-side, exactly the
     /// `apply2` packing), host PnM-core accumulation, then one
-    /// requantization query.
+    /// requantization query. Each query's table is the model's shared
+    /// `Arc<Lut>`, built once with the model.
     ///
     /// # Errors
     /// Propagates serve/machine errors.
@@ -200,7 +262,7 @@ impl QuantModel {
         let mut act = x.to_vec();
         for layer in &self.layers {
             let w = layer.linear.width();
-            let lut = Arc::new(smul_lut(w)?);
+            let lut = self.tables.product(w)?;
             let xf: Vec<u64> = act.iter().map(|&v| to_field(v, w)).collect();
             let mut merged = Vec::with_capacity(layer.linear.mac_count() as usize);
             for o in 0..layer.linear.out_features() {
@@ -228,7 +290,7 @@ impl QuantModel {
                     let indices: Vec<u64> = accs.iter().map(|&a| r.index_of(a)).collect();
                     let ticket = server.enqueue(QuerySpec {
                         config: config.clone(),
-                        lut: Arc::new(r.lut()?),
+                        lut: self.tables.requant(r)?,
                         inputs: indices,
                     });
                     ticket
@@ -310,4 +372,33 @@ pub fn sample_batch(seed: u64, count: usize) -> Vec<(u8, Vec<i32>)> {
             (digit, QuantModel::input_from_image(&img))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_tables_hold_one_shared_lut_per_distinct_table() {
+        let model = QuantModel::mnist_mlp(7);
+        let tables = &model.tables;
+        // Three 8-bit layers share one product table; both hidden layers
+        // share one requantization table.
+        assert_eq!((tables.products.len(), tables.requants.len()), (1, 1));
+        let hidden = model.layers[0].requant.unwrap();
+        assert!(Arc::ptr_eq(
+            &tables.product(8).unwrap(),
+            &tables.product(8).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &tables.requant(&hidden).unwrap(),
+            &tables.requant(&hidden).unwrap()
+        ));
+        assert_eq!(*tables.product(8).unwrap(), smul_lut(8).unwrap());
+        assert_eq!(*tables.requant(&hidden).unwrap(), hidden.lut().unwrap());
+        // A table no layer had at build time is built on the spot.
+        assert_eq!(*tables.product(4).unwrap(), smul_lut(4).unwrap());
+        let other = Requant::new(10, 1, 6);
+        assert_eq!(*tables.requant(&other).unwrap(), other.lut().unwrap());
+    }
 }
