@@ -27,8 +27,8 @@ PLUTO_QUICK=1 cargo test -q --workspace
 echo "==> Timing-backend differential (tests/timing_backend.rs, analytic == banked bit-for-bit)"
 PLUTO_QUICK=1 cargo test -q --test timing_backend
 
-echo "==> Plan-replay, plan-key and fused-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/partition_fused.rs, plans-on == plans-off, every input the plan key omits leaves lane cost unchanged, and fused == serial lanes)"
-PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_fused
+echo "==> Query-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/partition_fused.rs + tests/query_differential.rs + tests/partition_differential.rs, plans-on == plans-off, every input the plan key omits leaves lane cost unchanged, fused == serial lanes, the executor matches the scalar oracle phase by phase, and partitioned == unpartitioned queries)"
+PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_fused --test query_differential --test partition_differential
 
 echo "==> Cache residency and shared row tables (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses; array/store/partition shared_table unit tests + cache_is_immune_to_in_dram_destruction, no write reaches a shared row table and a shared-table load reads like a per-row load)"
 PLUTO_QUICK=1 cargo test -q --test cache_residency

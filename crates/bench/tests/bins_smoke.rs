@@ -67,7 +67,26 @@ smoke!(fig11_lut_loading_quick, "fig11_lut_loading", "Figure 11");
 smoke!(fig12_scalability_quick, "fig12_scalability", "Figure 12");
 smoke!(fig13_tfaw_quick, "fig13_tfaw", "Figure 13");
 smoke!(fig14_salp_quick, "fig14_salp", "Figure 14");
-smoke!(table1_designs_quick, "table1_designs", "Table 1");
 smoke!(table5_area_quick, "table5_area", "Table 5");
 smoke!(table6_pum_quick, "table6_pum", "Table 6");
 smoke!(table7_qnn_quick, "table7_qnn", "Table 7");
+
+/// `table1_designs` also checks the executor's measured query latency
+/// against Table 1's closed form, once per design: all three must match.
+#[test]
+fn table1_designs_quick() {
+    let stdout = run_quick(env!("CARGO_BIN_EXE_table1_designs"));
+    assert_parseable("table1_designs", &stdout, "Table 1");
+    let matches = stdout
+        .lines()
+        .filter(|l| l.trim_end().ends_with("-> MATCH"))
+        .count();
+    assert_eq!(
+        matches, 3,
+        "table1_designs: expected 3 MATCH lines:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("MISMATCH"),
+        "table1_designs: a design's latency missed its closed form:\n{stdout}"
+    );
+}

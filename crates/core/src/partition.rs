@@ -57,9 +57,11 @@
 
 use crate::design::DesignKind;
 use crate::error::PlutoError;
-use crate::lut::{pack_slots_into, slots_per_row, unpack_slots_into, Lut};
+use crate::lut::{pack_slots_into, unpack_slots_into, Lut};
 use crate::plan::{self, PlanKey};
-use crate::query::{QueryExecutor, QueryPlacement, QueryScratch};
+use crate::query::{
+    check_capacity, check_range, copy_out, QueryExecutor, QueryPlacement, QueryScratch,
+};
 use crate::store::LutStore;
 use pluto_dram::{BankId, Engine, PicoJoules, Picos, RowId, RowLoc, SubarrayId, SweepStepKind};
 
@@ -85,15 +87,6 @@ pub struct PartitionedLut {
     /// Whether serially issued lanes may use the compiled-plan cache
     /// (`crate::plan`); disabled on differential-oracle partitions.
     use_plans: bool,
-    /// Scratch: per-segment rebased input slots (serial reference only).
-    local: Vec<u64>,
-    /// Scratch: merged output slots across segments (serial reference
-    /// only; the fused path gathers into the caller's scratch).
-    merged: Vec<u64>,
-    /// Scratch: resident-input slots (controller path).
-    resident: Vec<u64>,
-    /// Scratch: one packed row.
-    row: Vec<u8>,
 }
 
 /// Cost of a partitioned query under the §5.6 semantics.
@@ -153,10 +146,6 @@ impl PartitionedLut {
             segments,
             segment_rows,
             use_plans: true,
-            local: Vec::new(),
-            merged: Vec::new(),
-            resident: Vec::new(),
-            row: Vec::new(),
         })
     }
 
@@ -230,12 +219,13 @@ impl PartitionedLut {
             dst_row,
             &mut scratch,
         )?;
-        Ok((std::mem::take(scratch.out_mut()), cost))
+        Ok((scratch.out, cost))
     }
 
     /// [`PartitionedLut::query`] with caller-owned scratch buffers: the
-    /// merged output vector lands in [`QueryScratch::outputs`]. This is
-    /// the hot-path entry point the machine/controller use.
+    /// merged output vector lands in [`QueryScratch::outputs`], and the
+    /// source and output rows are staged in the scratch's row buffer. This
+    /// is the hot-path entry point the machine/controller use.
     ///
     /// # Errors
     /// Fails if any input exceeds the logical LUT's range.
@@ -251,8 +241,9 @@ impl PartitionedLut {
         dst_row: RowId,
         scratch: &mut QueryScratch,
     ) -> Result<PartitionedCost, PlutoError> {
+        let QueryScratch { out, row, .. } = scratch;
         self.query_fused(
-            engine, design, source, dest, inputs, src_row, dst_row, scratch, true,
+            engine, design, source, dest, inputs, src_row, dst_row, out, row, true,
         )
     }
 
@@ -285,21 +276,21 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        let mut resident = std::mem::take(&mut self.resident);
-        engine.peek_row_into(src_loc, &mut self.row)?;
-        unpack_slots_into(&self.row, self.lut.slot_bits(), num_slots, &mut resident);
-        let validate = !self.lut.slot_width_bounds_inputs();
-        let result = self.query_fused(
-            engine, design, source, dest, &resident, src_row, dst_row, scratch, validate,
-        );
-        self.resident = resident;
-        result
+        let QueryScratch { live, out, row } = scratch;
+        engine.peek_row_into(src_loc, row)?;
+        unpack_slots_into(row, self.lut.slot_bits(), num_slots, live);
+        let check = !self.lut.slot_width_bounds_inputs();
+        self.query_fused(
+            engine, design, source, dest, live, src_row, dst_row, out, row, check,
+        )
     }
 
     /// The fused single-pass query behind both entry points: one gather
-    /// over the parent element table produces the merged outputs, one
-    /// pack each for the source/destination rows, and each segment's
-    /// command stream is issued as a parallel lane on the engine.
+    /// over the parent element table produces the merged outputs in
+    /// `merged`, one pack each into `row` for the source/destination
+    /// rows, and each segment's command stream is issued as a parallel
+    /// lane on the engine. `check` is false only where the slot width
+    /// already bounds every input to the table.
     #[allow(clippy::too_many_arguments)]
     fn query_fused(
         &mut self,
@@ -310,37 +301,23 @@ impl PartitionedLut {
         inputs: &[u64],
         src_row: RowId,
         dst_row: RowId,
-        scratch: &mut QueryScratch,
-        validate: bool,
+        merged: &mut Vec<u64>,
+        row: &mut Vec<u8>,
+        check: bool,
     ) -> Result<PartitionedCost, PlutoError> {
-        if validate {
-            let n = self.lut.len() as u64;
-            if let Some(&bad) = inputs.iter().find(|&&x| x >= n) {
-                return Err(PlutoError::IndexOutOfRange {
-                    value: bad,
-                    input_bits: self.lut.input_bits(),
-                });
-            }
+        if check {
+            check_range(inputs, &self.lut)?;
         }
         let bank = self.bank();
         let slot_bits = self.lut.slot_bits();
         let row_bytes = engine.config().row_bytes;
-        let capacity = slots_per_row(row_bytes, slot_bits);
-        if inputs.len() > capacity {
-            return Err(PlutoError::LayoutMismatch {
-                reason: format!(
-                    "{} inputs exceed the {capacity}-slot row capacity",
-                    inputs.len()
-                ),
-            });
-        }
+        check_capacity(inputs.len(), row_bytes, slot_bits)?;
 
         // The fused single pass: data work is one gather over the parent
         // table (plus the two packs below), regardless of segment count.
         // It lands straight in the caller's scratch, so a resident store
-        // keeps no output buffer of its own between queries.
+        // keeps no buffer of its own between queries.
         let elements = self.lut.elements();
-        let merged = scratch.out_mut();
         merged.clear();
         merged.extend(inputs.iter().map(|&x| elements[x as usize]));
 
@@ -352,8 +329,8 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        pack_slots_into(inputs, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(src_loc, &self.row)?;
+        pack_slots_into(inputs, slot_bits, row_bytes, row)?;
+        engine.poke_row(src_loc, row)?;
 
         // §5.6: all segments sweep simultaneously. Issue each segment's
         // command stream as a parallel lane from one start time; the
@@ -365,8 +342,8 @@ impl PartitionedLut {
         // copy-out only drives the slots its segment matched; the merged
         // vector is what the destination row holds when the last lane's
         // RBM lands).
-        pack_slots_into(merged, slot_bits, row_bytes, &mut self.row)?;
-        self.issue_lanes(engine, design, source, dest, src_loc, dst_row)?;
+        pack_slots_into(merged, slot_bits, row_bytes, row)?;
+        self.issue_lanes(engine, design, dest, src_loc, dst_row, row)?;
 
         Ok(PartitionedCost {
             segments: self.segments.len(),
@@ -377,11 +354,11 @@ impl PartitionedLut {
 
     /// Issues every segment's command stream serially on the engine, each
     /// as a parallel lane from the current clock. The per-lane spend
-    /// sequence replicates [`QueryExecutor::execute_resident_with`]
-    /// exactly (reload → activate → sweep → precharge/destroy → copy-out),
-    /// so cost, counters, and the tFAW window evolve bit-identically to
-    /// the old per-segment executor loop. `self.row` must hold the packed
-    /// merged output row.
+    /// sequence replicates [`QueryExecutor::execute_with`] after its
+    /// source-row write exactly (reload → activate → sweep →
+    /// precharge/destroy → copy-out), so cost, counters, and the tFAW
+    /// window evolve bit-identically to the old per-segment executor loop.
+    /// `out_row` must hold the packed merged output row.
     ///
     /// Each lane consults the compiled-plan cache (`crate::plan`): a
     /// warm lane applies its memoized cost tape and skips issuance; the
@@ -391,14 +368,13 @@ impl PartitionedLut {
         &mut self,
         engine: &mut Engine,
         design: DesignKind,
-        source: SubarrayId,
         dest: SubarrayId,
         src_loc: RowLoc,
         dst_row: RowId,
+        out_row: &[u8],
     ) -> Result<(), PlutoError> {
         let bank = src_loc.bank;
         let clock0 = engine.elapsed();
-        let out_row = &self.row;
         let mut slowest = clock0;
         let plans_ok = self.use_plans && !engine.trace_enabled();
         let mut any_replayed = false;
@@ -414,7 +390,7 @@ impl PartitionedLut {
                     design,
                     store,
                     store.subarray().0.abs_diff(dest.0),
-                    dest == source,
+                    dest == src_loc.subarray,
                 );
                 match plan::lookup(&key) {
                     Some(tape) if tape.replayable_from(engine) => {
@@ -442,9 +418,7 @@ impl PartitionedLut {
             } else if self.use_plans {
                 plan::note_fallback();
             }
-            if let Err(e) = issue_lane(
-                engine, design, store, source, dest, src_loc, dst_row, out_row,
-            ) {
+            if let Err(e) = issue_lane(engine, design, store, dest, src_loc, dst_row, out_row) {
                 engine.abort_tape();
                 return Err(e);
             }
@@ -466,7 +440,7 @@ impl PartitionedLut {
                     subarray: dest,
                     row: dst_row,
                 },
-                &self.row,
+                out_row,
             )?;
         }
         Ok(())
@@ -493,18 +467,12 @@ impl PartitionedLut {
         dst_row: RowId,
         scratch: &mut QueryScratch,
     ) -> Result<PartitionedCost, PlutoError> {
-        let n = self.lut.len() as u64;
-        if let Some(&bad) = inputs.iter().find(|&&x| x >= n) {
-            return Err(PlutoError::IndexOutOfRange {
-                value: bad,
-                input_bits: self.lut.input_bits(),
-            });
-        }
+        check_range(inputs, &self.lut)?;
         let bank = self.bank();
         let slot_bits = self.lut.slot_bits();
         let row_bytes = engine.config().row_bytes;
-        self.merged.clear();
-        self.merged.resize(inputs.len(), 0);
+        let mut merged = vec![0; inputs.len()];
+        let mut local = Vec::with_capacity(inputs.len());
 
         let clock0 = engine.elapsed();
         let energy0 = engine.command_energy();
@@ -515,8 +483,8 @@ impl PartitionedLut {
             let span = store.lut().len() as u64;
             // Inputs rebased into this segment; out-of-segment slots query
             // index 0 (their captured values are discarded on merge).
-            self.local.clear();
-            self.local.extend(inputs.iter().map(|&x| {
+            local.clear();
+            local.extend(inputs.iter().map(|&x| {
                 if x >= base && x < base + span {
                     x - base
                 } else {
@@ -530,10 +498,10 @@ impl PartitionedLut {
                 dest,
             };
             let mut ex = QueryExecutor::new(engine, design);
-            ex.execute_with(store, placement, &self.local, src_row, dst_row, scratch)?;
+            ex.execute_with(store, placement, &local, src_row, dst_row, scratch)?;
             for (i, &x) in inputs.iter().enumerate() {
                 if x >= base && x < base + span {
-                    self.merged[i] = scratch.outputs()[i];
+                    merged[i] = scratch.outputs()[i];
                 }
             }
             slowest = slowest.max(engine.elapsed());
@@ -547,23 +515,23 @@ impl PartitionedLut {
             subarray: source,
             row: src_row,
         };
-        pack_slots_into(inputs, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(src_loc, &self.row)?;
+        let mut row = Vec::new();
+        pack_slots_into(inputs, slot_bits, row_bytes, &mut row)?;
+        engine.poke_row(src_loc, &row)?;
         let dst_loc = RowLoc {
             bank,
             subarray: dest,
             row: dst_row,
         };
-        pack_slots_into(&self.merged, slot_bits, row_bytes, &mut self.row)?;
-        engine.poke_row(dst_loc, &self.row)?;
+        pack_slots_into(&merged, slot_bits, row_bytes, &mut row)?;
+        engine.poke_row(dst_loc, &row)?;
+        scratch.out = merged;
 
-        let cost = PartitionedCost {
+        Ok(PartitionedCost {
             segments: self.segments.len(),
             latency: engine.elapsed() - clock0,
             energy: engine.command_energy() - energy0,
-        };
-        std::mem::swap(scratch.out_mut(), &mut self.merged);
-        Ok(cost)
+        })
     }
 }
 
@@ -571,12 +539,10 @@ impl PartitionedLut {
 /// [`QueryExecutor`] produced pre-fusion, and the issuing path a lane's
 /// plan tape is recorded from. `out_row` must hold the packed merged
 /// output row.
-#[allow(clippy::too_many_arguments)]
 fn issue_lane(
     engine: &mut Engine,
     design: DesignKind,
     store: &mut LutStore,
-    source: SubarrayId,
     dest: SubarrayId,
     src_loc: RowLoc,
     dst_row: RowId,
@@ -604,17 +570,14 @@ fn issue_lane(
     if design.destructive_reads() {
         store.mark_destroyed(engine)?;
     }
-    // Phase 5: copy-out. Close the source row first when it shares the
-    // destination subarray, after otherwise.
-    if dest == source {
-        engine.precharge(bank, source)?;
-    }
-    engine.deposit_buffer(bank, pluto, out_row)?;
-    engine.lisa_rbm_to_row(bank, pluto, dest, dst_row)?;
-    if dest != source {
-        engine.precharge(bank, source)?;
-    }
-    Ok(())
+    // Phase 5: copy-out.
+    let placement = QueryPlacement {
+        bank,
+        source: src_loc.subarray,
+        pluto,
+        dest,
+    };
+    copy_out(engine, placement, dst_row, out_row)
 }
 
 #[cfg(test)]
@@ -1015,12 +978,18 @@ mod tests {
     #[test]
     fn one_query_path_serves_small_and_large_luts() {
         // The same `query_with` call answers a 1-segment and a 4-segment
-        // LUT.
+        // LUT. One scratch carries its staged rows from the first store to
+        // the second; a twin engine that gives every query a fresh scratch
+        // must see the same outputs, costs and destination rows.
         let mut e = engine();
+        let mut twin = engine();
         let mut scratch = QueryScratch::new();
         for (name, bits, segments) in [("uni6", 6u32, 1usize), ("uni8", 8u32, 4usize)] {
             let lut = Lut::from_fn(name, bits, 16, |x| x * 2 + 1).unwrap();
-            let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(20)).unwrap();
+            let mut part =
+                PartitionedLut::load(&mut e, lut.clone(), BankId(0), SubarrayId(20)).unwrap();
+            let mut twin_part =
+                PartitionedLut::load(&mut twin, lut, BankId(0), SubarrayId(20)).unwrap();
             let n = 1u64 << bits;
             let inputs: Vec<u64> = (0..8u64).map(|i| i * (n / 8)).collect();
             let cost = part
@@ -1035,8 +1004,33 @@ mod tests {
                     &mut scratch,
                 )
                 .unwrap();
+            let mut fresh = QueryScratch::new();
+            let twin_cost = twin_part
+                .query_with(
+                    &mut twin,
+                    DesignKind::Gmc,
+                    SRC,
+                    DST,
+                    &inputs,
+                    RowId(0),
+                    RowId(1),
+                    &mut fresh,
+                )
+                .unwrap();
             let expect: Vec<u64> = inputs.iter().map(|&x| x * 2 + 1).collect();
             assert_eq!(scratch.outputs(), expect, "{name}");
+            assert_eq!(fresh.outputs(), expect, "{name}: fresh scratch");
+            assert_eq!(cost, twin_cost, "{name}: cost");
+            let dst = RowLoc {
+                bank: BankId(0),
+                subarray: DST,
+                row: RowId(1),
+            };
+            assert_eq!(
+                e.peek_row(dst).unwrap(),
+                twin.peek_row(dst).unwrap(),
+                "{name}: destination row"
+            );
             assert_eq!(cost.segments, segments, "{name}");
             assert!(cost.latency > Picos::ZERO && cost.energy > PicoJoules::ZERO);
         }

@@ -37,7 +37,7 @@
 use crate::design::DesignKind;
 use crate::error::PlutoError;
 use crate::lut::{
-    pack_slots_into, pack_slots_scalar, slots_per_row, unpack_slots_into, unpack_slots_scalar,
+    pack_slots_into, pack_slots_scalar, slots_per_row, unpack_slots_into, unpack_slots_scalar, Lut,
 };
 use crate::match_logic;
 use crate::store::LutStore;
@@ -106,15 +106,17 @@ impl QueryCost {
 /// and one packed row. A long-lived holder ([`crate::library::PlutoMachine`],
 /// the controller) keeps one `QueryScratch` and threads it through every
 /// query, so operation streams of thousands of queries stop paying three
-/// heap allocations per query.
+/// heap allocations per query. It is the only scratch a query uses: the
+/// stores themselves keep none.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Unpacked input slots (also used for the pre-query validation pass).
-    live: Vec<u64>,
+    /// Unpacked input slots (the executor's latched input vector, or a
+    /// resident query's read-back source row).
+    pub(crate) live: Vec<u64>,
     /// Gathered output slots.
-    out: Vec<u64>,
+    pub(crate) out: Vec<u64>,
     /// Packed-row staging buffer.
-    row: Vec<u8>,
+    pub(crate) row: Vec<u8>,
 }
 
 impl QueryScratch {
@@ -127,13 +129,59 @@ impl QueryScratch {
     pub fn outputs(&self) -> &[u64] {
         &self.out
     }
+}
 
-    /// Mutable access to the output slots, so the §5.6 partitioned path
-    /// ([`crate::partition`]) can gather its *merged* output vector
-    /// straight into the caller's scratch.
-    pub(crate) fn out_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.out
+/// Rejects an input vector wider than one row of `slot_bits`-bit slots:
+/// the capacity check of every query front end.
+pub(crate) fn check_capacity(
+    inputs: usize,
+    row_bytes: usize,
+    slot_bits: u32,
+) -> Result<(), PlutoError> {
+    let capacity = slots_per_row(row_bytes, slot_bits);
+    if inputs > capacity {
+        return Err(PlutoError::LayoutMismatch {
+            reason: format!("{inputs} inputs exceed the {capacity}-slot row capacity"),
+        });
     }
+    Ok(())
+}
+
+/// Rejects the first input outside `lut`'s index range: such an index
+/// would match no sweep step, breaking §5.3.3's match-exactly-once
+/// invariant.
+pub(crate) fn check_range(inputs: &[u64], lut: &Lut) -> Result<(), PlutoError> {
+    let n = lut.len() as u64;
+    match inputs.iter().find(|&&x| x >= n) {
+        Some(&value) => Err(PlutoError::IndexOutOfRange {
+            value,
+            input_bits: lut.input_bits(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Phase 5: copies the packed output row `out_row` through the pLUTo
+/// subarray's buffer to `dst_row` of the destination subarray with one
+/// LISA-RBM, and closes the source row. If the destination shares the
+/// source subarray, the source row closes *first* so the LISA
+/// write-through cannot clobber the still-open input row.
+pub(crate) fn copy_out(
+    engine: &mut Engine,
+    placement: QueryPlacement,
+    dst_row: RowId,
+    out_row: &[u8],
+) -> Result<(), PlutoError> {
+    let (bank, source, pluto) = (placement.bank, placement.source, placement.pluto);
+    if placement.dest == source {
+        engine.precharge(bank, source)?;
+    }
+    engine.deposit_buffer(bank, pluto, out_row)?;
+    engine.lisa_rbm_to_row(bank, pluto, placement.dest, dst_row)?;
+    if placement.dest != source {
+        engine.precharge(bank, source)?;
+    }
+    Ok(())
 }
 
 /// Executes pLUTo LUT Queries of one design on an [`Engine`], always
@@ -202,91 +250,22 @@ impl<'e> QueryExecutor<'e> {
         dst_row: RowId,
         scratch: &mut QueryScratch,
     ) -> Result<QueryCost, PlutoError> {
-        let lut = store.lut().clone();
-        let n = lut.len() as u64;
-        let slot_bits = lut.slot_bits();
-        let cfg = self.engine.config().clone();
-        let capacity = slots_per_row(cfg.row_bytes, slot_bits);
-        if inputs.len() > capacity {
-            return Err(PlutoError::LayoutMismatch {
-                reason: format!(
-                    "{} inputs exceed the {capacity}-slot row capacity",
-                    inputs.len()
-                ),
-            });
-        }
-        if !match_logic::each_element_matches_exactly_once(inputs, n) {
-            let bad = *inputs
-                .iter()
-                .find(|&&x| x >= n)
-                .expect("some input too large");
-            return Err(PlutoError::IndexOutOfRange {
-                value: bad,
-                input_bits: lut.input_bits(),
-            });
-        }
+        let slot_bits = store.lut().slot_bits();
+        let row_bytes = self.engine.config().row_bytes;
+        check_capacity(inputs.len(), row_bytes, slot_bits)?;
+        check_range(inputs, store.lut())?;
 
         // The input vector is workload data already resident in the source
         // subarray (writing it there is the producer's cost, not the
         // query's).
-        let src_loc = RowLoc {
-            bank: placement.bank,
-            subarray: placement.source,
-            row: src_row,
-        };
-        pack_slots_into(inputs, slot_bits, cfg.row_bytes, &mut scratch.row)?;
-        self.engine.poke_row(src_loc, &scratch.row)?;
-        self.execute_resident_with(store, placement, src_row, dst_row, inputs.len(), scratch)
-    }
-
-    /// Executes a bulk LUT query whose input vector is *already resident*
-    /// in `src_row` of the source subarray (e.g. produced by a previous
-    /// pLUTo instruction), with caller-owned scratch buffers (see
-    /// [`QueryExecutor::execute_with`]). `num_slots` slots of the LUT's
-    /// slot width are interpreted as indices.
-    ///
-    /// # Errors
-    /// Same conditions as [`QueryExecutor::execute`].
-    pub fn execute_resident_with(
-        &mut self,
-        store: &mut LutStore,
-        placement: QueryPlacement,
-        src_row: RowId,
-        dst_row: RowId,
-        num_slots: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryCost, PlutoError> {
-        let lut = store.lut().clone();
-        let n = lut.len() as u64;
-        let slot_bits = lut.slot_bits();
-        let cfg = self.engine.config().clone();
-        let capacity = slots_per_row(cfg.row_bytes, slot_bits);
-        if num_slots > capacity {
-            return Err(PlutoError::LayoutMismatch {
-                reason: format!("{num_slots} inputs exceed the {capacity}-slot row capacity"),
-            });
-        }
         let bank = placement.bank;
         let src_loc = RowLoc {
             bank,
             subarray: placement.source,
             row: src_row,
         };
-        {
-            self.engine.peek_row_into(src_loc, &mut scratch.row)?;
-            unpack_slots_into(&scratch.row, slot_bits, num_slots, &mut scratch.live);
-            if !match_logic::each_element_matches_exactly_once(&scratch.live, n) {
-                let bad = *scratch
-                    .live
-                    .iter()
-                    .find(|&&x| x >= n)
-                    .expect("some input too large");
-                return Err(PlutoError::IndexOutOfRange {
-                    value: bad,
-                    input_bits: lut.input_bits(),
-                });
-            }
-        }
+        pack_slots_into(inputs, slot_bits, row_bytes, &mut scratch.row)?;
+        self.engine.poke_row(src_loc, &scratch.row)?;
 
         let clock0 = self.engine.elapsed();
         let energy0 = self.engine.command_energy();
@@ -308,7 +287,7 @@ impl<'e> QueryExecutor<'e> {
         self.engine.activate(src_loc)?;
         {
             let buf = self.engine.row_buffer(bank, placement.source)?;
-            unpack_slots_into(&buf.data, slot_bits, num_slots, &mut scratch.live);
+            unpack_slots_into(&buf.data, slot_bits, inputs.len(), &mut scratch.live);
         }
         let clock_s = self.engine.elapsed();
         let energy_s = self.engine.command_energy();
@@ -316,7 +295,7 @@ impl<'e> QueryExecutor<'e> {
         // Phases 2–4: the pLUTo Row Sweep with match capture. The command
         // stream is the real per-design sweep — one step per LUT row.
         let step_kind = self.design.sweep_step_kind();
-        for i in 0..lut.len() {
+        for i in 0..store.lut().len() {
             let loc = store.element_row(i);
             self.engine.sweep_step(loc, step_kind)?;
         }
@@ -332,7 +311,7 @@ impl<'e> QueryExecutor<'e> {
         // (structurally impossible) out-of-range slot would never match
         // and leave the FF buffer's reset value, which the gather mirrors.
         scratch.out.clear();
-        let elements = lut.elements();
+        let elements = store.lut().elements();
         scratch.out.extend(
             scratch
                 .live
@@ -348,21 +327,9 @@ impl<'e> QueryExecutor<'e> {
         }
 
         // Phase 5: copy the output vector to the destination row buffer
-        // (and commit it to the destination row). If the destination shares
-        // the source subarray, close the source row *first* so the LISA
-        // write-through cannot clobber the still-open input row.
-        pack_slots_into(&scratch.out, slot_bits, cfg.row_bytes, &mut scratch.row)?;
-        if placement.dest == placement.source {
-            self.engine.precharge(bank, placement.source)?;
-        }
-        self.engine
-            .deposit_buffer(bank, placement.pluto, &scratch.row)?;
-        self.engine
-            .lisa_rbm_to_row(bank, placement.pluto, placement.dest, dst_row)?;
-        if placement.dest != placement.source {
-            // Close the source row.
-            self.engine.precharge(bank, placement.source)?;
-        }
+        // (and commit it to the destination row).
+        pack_slots_into(&scratch.out, slot_bits, row_bytes, &mut scratch.row)?;
+        copy_out(self.engine, placement, dst_row, &scratch.row)?;
         let clock_end = self.engine.elapsed();
         let energy_end = self.engine.command_energy();
 
@@ -498,7 +465,8 @@ impl<'e> QueryExecutor<'e> {
 mod tests {
     use super::*;
     use crate::design::DesignModel;
-    use crate::lut::{catalog, unpack_slots, Lut};
+    use crate::lut::{catalog, unpack_slots};
+    use crate::partition::PartitionedLut;
     use pluto_dram::DramConfig;
 
     fn engine() -> Engine {
@@ -711,6 +679,58 @@ mod tests {
         assert!(ex
             .execute(&mut store, placement, &too_many, RowId(0), RowId(0))
             .is_err());
+    }
+
+    #[test]
+    fn executor_and_partitioned_path_reject_inputs_alike() {
+        // Both front ends run the same capacity and range checks, so each
+        // faulty vector (one fault apiece) gets one error from either.
+        let lut = Lut::from_table("primes", 2, 4, vec![2, 3, 5, 7]).unwrap();
+        let over_capacity = vec![0u64; 65]; // 32 B row / 4-bit slots = 64 slots
+        let out_of_range = vec![0u64, 4, 1];
+        let cases = [
+            (
+                over_capacity,
+                PlutoError::LayoutMismatch {
+                    reason: "65 inputs exceed the 64-slot row capacity".into(),
+                },
+            ),
+            (
+                out_of_range,
+                PlutoError::IndexOutOfRange {
+                    value: 4,
+                    input_bits: 2,
+                },
+            ),
+        ];
+        for (inputs, want) in cases {
+            let mut e = engine();
+            let (mut store, placement) = setup(&mut e, lut.clone());
+            let executor = QueryExecutor::new(&mut e, DesignKind::Bsa).execute_with(
+                &mut store,
+                placement,
+                &inputs,
+                RowId(0),
+                RowId(0),
+                &mut QueryScratch::new(),
+            );
+            // The same table as a one-segment store above the placement.
+            let mut e = engine();
+            let mut part =
+                PartitionedLut::load(&mut e, lut.clone(), placement.bank, SubarrayId(4)).unwrap();
+            let partitioned = part.query_with(
+                &mut e,
+                DesignKind::Bsa,
+                placement.source,
+                placement.dest,
+                &inputs,
+                RowId(0),
+                RowId(0),
+                &mut QueryScratch::new(),
+            );
+            assert_eq!(executor, Err(want.clone()), "executor");
+            assert_eq!(partitioned, Err(want), "partitioned");
+        }
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! binding shared constraint is tFAW, which limits the module to four row
 //! activations per window. This module turns a per-design query recipe into
 //! per-subarray command lanes and computes the parallel makespan with the
-//! [`pluto_dram::schedule`] scheduler — regenerating the paper's Fig. 13
-//! (tFAW sensitivity) and Fig. 14 (subarray scaling).
+//! [`pluto_dram::schedule`] scheduler. It backs the `ablations` binary's
+//! SALP × tFAW grid. The paper's Fig. 13 (tFAW sensitivity) and Fig. 14
+//! (subarray scaling) are not scheduled here: `fig13_tfaw` and
+//! `fig14_salp` scale each workload's measured cost through
+//! [`crate::session::CostReport::scaled_wall_time`] (serial time divided
+//! across subarrays, floored by the tFAW activation rate).
 //!
 //! Energy is *not* affected by the degree of parallelism (§8.3): callers
 //! take energy from the serial model.

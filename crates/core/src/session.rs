@@ -106,10 +106,6 @@ pub struct ExecConfig {
     pub kind: MemoryKind,
     /// Row (and row buffer) size in bytes.
     pub row_bytes: usize,
-    /// Column burst size in bytes.
-    pub burst_bytes: usize,
-    /// Number of independently addressable banks.
-    pub banks: u16,
     /// Subarrays per bank. A [`Workload`] may demand more via
     /// [`Workload::min_subarrays`]; each run uses the maximum of the two.
     pub subarrays_per_bank: u16,
@@ -133,8 +129,6 @@ impl ExecConfig {
             design,
             kind: MemoryKind::Ddr4,
             row_bytes: MEASURE_ROW_BYTES,
-            burst_bytes: 32,
-            banks: 1,
             subarrays_per_bank: 16,
             rows_per_subarray: 512,
             seed: 0,
@@ -154,15 +148,16 @@ impl ExecConfig {
         }
     }
 
-    /// The DRAM geometry this configuration describes.
+    /// The DRAM geometry this configuration describes: one bank (every
+    /// session runs its queries in bank 0) with 32 B column bursts.
     pub fn dram_config(&self) -> DramConfig {
         DramConfig {
             kind: self.kind,
-            banks: self.banks,
+            banks: 1,
             subarrays_per_bank: self.subarrays_per_bank,
             rows_per_subarray: self.rows_per_subarray,
             row_bytes: self.row_bytes,
-            burst_bytes: self.burst_bytes,
+            burst_bytes: 32,
         }
     }
 
@@ -193,13 +188,6 @@ impl SessionBuilder {
         }
     }
 
-    /// Sets the hardware design.
-    #[must_use]
-    pub fn design(mut self, design: DesignKind) -> Self {
-        self.config.design = design;
-        self
-    }
-
     /// Sets the memory kind (selects the timing and energy models).
     #[must_use]
     pub fn memory(mut self, kind: MemoryKind) -> Self {
@@ -211,20 +199,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn row_bytes(mut self, bytes: usize) -> Self {
         self.config.row_bytes = bytes;
-        self
-    }
-
-    /// Sets the column burst size in bytes.
-    #[must_use]
-    pub fn burst_bytes(mut self, bytes: usize) -> Self {
-        self.config.burst_bytes = bytes;
-        self
-    }
-
-    /// Sets the bank count.
-    #[must_use]
-    pub fn banks(mut self, banks: u16) -> Self {
-        self.config.banks = banks;
         self
     }
 

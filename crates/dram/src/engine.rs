@@ -8,11 +8,16 @@
 //! the sequence of memory commands required to perform them and enforcing
 //! the memory's timing parameters"), with the addition of bit-accurate data.
 //!
-//! The engine is *serial*: commands execute one after another. Overlapped
-//! execution across subarrays (SALP) is modeled by [`crate::schedule`],
-//! which computes the parallel makespan for the same command streams. Energy
-//! is unaffected by parallelism (paper §8.3), so the engine's accumulator is
-//! authoritative in both cases.
+//! The engine is *serial*: commands execute one after another. The one
+//! overlap it models itself is the §5.6 partitioned query, whose segment
+//! lanes run between [`Engine::rewind_clock`] and
+//! [`Engine::advance_clock_to`]. Subarray-level parallelism across
+//! independent queries (SALP) is applied after the fact: the figures scale
+//! a workload's serial cost by the subarray count, floored by the tFAW
+//! activation rate (`pluto_core`'s `CostReport::scaled_wall_time`), and
+//! [`crate::schedule`] computes lane makespans for the ablation grid.
+//! Energy is unaffected by parallelism (paper §8.3), so the engine's
+//! accumulator is authoritative in every case.
 
 use crate::array::{MemoryArray, RowBuffer, RowTable};
 use crate::command::{Command, SweepStepKind};
@@ -202,16 +207,6 @@ impl Engine {
         if to > self.clock {
             self.clock = to;
         }
-    }
-
-    /// Resets clock, energy, and counters (array contents are preserved).
-    pub fn reset_accounting(&mut self) {
-        self.recorder = None;
-        self.clock = Picos::ZERO;
-        self.command_energy = PicoJoules::ZERO;
-        self.stats = CommandStats::new();
-        self.act_window.clear();
-        self.rank.clear();
     }
 
     fn record(&mut self, cmd: Command) {
@@ -512,30 +507,11 @@ impl Engine {
     /// # Errors
     /// Fails if the rows are in different subarrays or out of bounds.
     pub fn row_clone_fpm(&mut self, src: RowLoc, dst_row: RowId) -> Result<(), DramError> {
-        let dst = RowLoc {
-            bank: src.bank,
-            subarray: src.subarray,
-            row: dst_row,
-        };
-        if !self.cfg.contains(src) {
-            return Err(DramError::OutOfBounds { loc: src });
-        }
-        if !self.cfg.contains(dst) {
-            return Err(DramError::OutOfBounds { loc: dst });
-        }
+        let dst = self.clone_target(src, dst_row)?;
         self.array.activate(src, false)?;
         self.array.activate_into(dst)?;
         self.array.precharge(src.bank, src.subarray);
-        let at = self.issue_act();
-        self.clock = at;
-        // Second ACT also occupies a tFAW slot.
-        let _ = self.issue_act();
-        self.spend(
-            self.timing.t_rcd.times(2) + self.timing.t_rp,
-            self.energy_model.e_act.times(2) + self.energy_model.e_pre,
-        );
-        self.stats.activates += 2;
-        self.stats.precharges += 1;
+        self.spend_act_act_pre();
         self.stats.row_clones += 1;
         self.record(Command::RowCloneFpm { src, dst_row });
         Ok(())
@@ -549,21 +525,34 @@ impl Engine {
     /// # Errors
     /// Fails if either row is out of bounds.
     pub fn row_clone_dcc(&mut self, src: RowLoc, dst_row: RowId) -> Result<(), DramError> {
-        let dst = RowLoc {
-            bank: src.bank,
-            subarray: src.subarray,
-            row: dst_row,
-        };
-        if !self.cfg.contains(src) {
-            return Err(DramError::OutOfBounds { loc: src });
-        }
-        if !self.cfg.contains(dst) {
-            return Err(DramError::OutOfBounds { loc: dst });
-        }
+        let dst = self.clone_target(src, dst_row)?;
         let negated: Vec<u8> = self.array.row(src)?.iter().map(|b| !b).collect();
         self.array.set_row(dst, &negated)?;
+        self.spend_act_act_pre();
+        self.stats.row_clones += 1;
+        self.record(Command::RowCloneFpm { src, dst_row });
+        Ok(())
+    }
+
+    /// The destination of an intra-subarray clone of `src` onto `dst_row`,
+    /// once both rows are checked to be in bounds.
+    fn clone_target(&self, src: RowLoc, dst_row: RowId) -> Result<RowLoc, DramError> {
+        let dst = src.with_row(dst_row.0);
+        for loc in [src, dst] {
+            if !self.cfg.contains(loc) {
+                return Err(DramError::OutOfBounds { loc });
+            }
+        }
+        Ok(dst)
+    }
+
+    /// Charges one ACT-ACT-PRE sequence (RowClone, a DRISA shift step):
+    /// both ACTs take tFAW slots, and the sequence costs 2·tRCD + tRP and
+    /// 2·E_ACT + E_PRE.
+    fn spend_act_act_pre(&mut self) {
         let at = self.issue_act();
         self.clock = at;
+        // The second ACT also occupies a tFAW slot.
         let _ = self.issue_act();
         self.spend(
             self.timing.t_rcd.times(2) + self.timing.t_rp,
@@ -571,9 +560,6 @@ impl Engine {
         );
         self.stats.activates += 2;
         self.stats.precharges += 1;
-        self.stats.row_clones += 1;
-        self.record(Command::RowCloneFpm { src, dst_row });
-        Ok(())
     }
 
     /// LISA-RBM: move `from`'s latched row buffer to `to`'s row buffer
@@ -589,13 +575,7 @@ impl Engine {
         to: SubarrayId,
     ) -> Result<(), DramError> {
         self.array.lisa_rbm(bank, from, to)?;
-        let hops = from.0.abs_diff(to.0) as u64;
-        self.spend(
-            self.timing.t_lisa_hop.times(hops),
-            self.energy_model.e_lisa_hop.times(hops),
-        );
-        self.stats.lisa_hops += hops;
-        self.record(Command::LisaRbm { bank, from, to });
+        self.spend_lisa(bank, from, to);
         Ok(())
     }
 
@@ -663,13 +643,7 @@ impl Engine {
             .data
             .clone();
         self.array.set_row(dst, &data)?;
-        let hops = from.0.abs_diff(to.0) as u64;
-        self.spend(
-            self.timing.t_lisa_hop.times(hops),
-            self.energy_model.e_lisa_hop.times(hops),
-        );
-        self.stats.lisa_hops += hops;
-        self.record(Command::LisaRbm { bank, from, to });
+        self.spend_lisa(bank, from, to);
         Ok(())
     }
 
@@ -722,16 +696,9 @@ impl Engine {
         }
         self.array.shift_row_bits(loc, left, amount)?;
         // Each step costs one ACT-ACT-PRE sequence (like RowClone).
-        let per_step_t = self.timing.t_rcd.times(2) + self.timing.t_rp;
-        let per_step_e = self.energy_model.e_act.times(2) + self.energy_model.e_pre;
         for _ in 0..steps {
-            let at = self.issue_act();
-            self.clock = at;
-            let _ = self.issue_act();
-            self.spend(per_step_t, per_step_e);
+            self.spend_act_act_pre();
         }
-        self.stats.activates += 2 * steps;
-        self.stats.precharges += steps;
         self.record(Command::Activate(loc)); // summarized in trace
         Ok(())
     }
@@ -949,19 +916,23 @@ impl Engine {
     }
 
     /// The per-row cost loop shared by both reload flavours: one LISA
-    /// movement per row, each spending `hops` hop costs.
+    /// movement per row.
     fn spend_lisa_rows(&mut self, bank: BankId, from: SubarrayId, to: SubarrayId, count: usize) {
-        let hops = from.0.abs_diff(to.0) as u64;
         for _ in 0..count {
-            self.spend(
-                self.timing.t_lisa_hop.times(hops),
-                self.energy_model.e_lisa_hop.times(hops),
-            );
-            self.stats.lisa_hops += hops;
-            if self.trace.is_some() {
-                self.record(Command::LisaRbm { bank, from, to });
-            }
+            self.spend_lisa(bank, from, to);
         }
+    }
+
+    /// Charges one LISA-RBM movement from `from` to `to`: one hop's time
+    /// and energy per subarray crossed.
+    fn spend_lisa(&mut self, bank: BankId, from: SubarrayId, to: SubarrayId) {
+        let hops = from.0.abs_diff(to.0) as u64;
+        self.spend(
+            self.timing.t_lisa_hop.times(hops),
+            self.energy_model.e_lisa_hop.times(hops),
+        );
+        self.stats.lisa_hops += hops;
+        self.record(Command::LisaRbm { bank, from, to });
     }
 
     // ------------------------------------------------------------------
@@ -1043,7 +1014,7 @@ impl Engine {
     /// from a state with the identical signature
     /// ([`CostTape::replayable_from`]). A capture in progress is dropped
     /// by any absolute-time mutation ([`Engine::rewind_clock`],
-    /// [`Engine::advance_clock_to`], [`Engine::reset_accounting`]) —
+    /// [`Engine::advance_clock_to`]) —
     /// `end_tape` then returns `None` and the caller falls back to
     /// uncached issuance. Beginning a new capture discards any previous
     /// one.
@@ -1646,17 +1617,6 @@ mod tests {
                 "buffer end state of {sa:?}"
             );
         }
-    }
-
-    #[test]
-    fn reset_accounting_preserves_data() {
-        let mut e = tiny();
-        let loc = RowLoc::new(0, 0, 0);
-        e.write_row(loc, &[3; 16]).unwrap();
-        e.reset_accounting();
-        assert_eq!(e.elapsed(), Picos::ZERO);
-        assert_eq!(e.stats().total_commands(), 0);
-        assert_eq!(e.peek_row(loc).unwrap(), vec![3; 16]);
     }
 
     #[test]

@@ -301,13 +301,6 @@ impl RankState {
         self.share_open.retain(|o| o.opened_at < to);
     }
 
-    /// Forgets all tracking state (used by `reset_accounting`).
-    pub(crate) fn clear(&mut self) {
-        self.bank_open.clear();
-        self.share_open.clear();
-        self.queue.clear();
-    }
-
     fn open_sig(entries: &[OpenEntry], clock: Picos, t_ras: Picos) -> Vec<OpenSig> {
         entries
             .iter()
