@@ -27,8 +27,9 @@ PLUTO_QUICK=1 cargo test -q --workspace
 echo "==> Timing-backend differential (tests/timing_backend.rs, analytic == banked bit-for-bit)"
 PLUTO_QUICK=1 cargo test -q --test timing_backend
 
-echo "==> Query-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/partition_fused.rs + tests/query_differential.rs + tests/partition_differential.rs, plans-on == plans-off, every input the plan key omits leaves lane cost unchanged, fused == serial lanes, the executor matches the scalar oracle phase by phase, and partitioned == unpartitioned queries)"
-PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test partition_fused --test query_differential --test partition_differential
+echo "==> Query-path differential (tests/plan_replay.rs + tests/plan_key.rs + tests/plan_handles.rs + tests/partition_fused.rs + tests/query_differential.rs + tests/partition_differential.rs + the engine's add_repeated and fractional_tape unit tests, plans-on == plans-off including fractional energies under a changing key, replay sums a run of equal f64 spends bit for bit, every input the plan key omits leaves lane cost unchanged, a store's tape-handle hits count like shared lookups, fused == serial lanes, the executor matches the scalar oracle phase by phase, and partitioned == unpartitioned queries)"
+PLUTO_QUICK=1 cargo test -q --test plan_replay --test plan_key --test plan_handles --test partition_fused --test query_differential --test partition_differential
+PLUTO_QUICK=1 cargo test -q -p pluto-dram --lib -- add_repeated fractional_tape
 
 echo "==> Cache residency and shared row tables (tests/cache_residency.rs, a repeated CRC-32 run above the old 512-entry caps has zero plan and packed misses; array/store/partition shared_table unit tests + cache_is_immune_to_in_dram_destruction, no write reaches a shared row table and a shared-table load reads like a per-row load)"
 PLUTO_QUICK=1 cargo test -q --test cache_residency
@@ -46,7 +47,7 @@ cargo run --release --quiet --example cluster
 echo "==> 4-worker cluster smoke (fig07 --quick --workers 4)"
 cargo run --release --quiet -p pluto-bench --bin fig07_speedup -- --quick --workers 4
 
-echo "==> Query-engine throughput guard (benches/query.rs, word-parallel >= 2x scalar packing, warm-plan production store >= 2x issuing)"
+echo "==> Query-engine throughput guard (benches/query.rs, word-parallel >= 2x scalar packing, warm-plan production store >= 2x issuing and exactly one plan hit per lane and query, no miss or fallback)"
 PLUTO_QUICK=1 cargo bench -p pluto-bench --bench query
 
 echo "==> Partitioned-LUT guard (benches/partition.rs, fused §5.6 path — 4-seg query < 2x single and exactly 4x its sweep steps, cached load < query)"

@@ -27,10 +27,14 @@
 //! packing microbench (1.5x at the narrowest width, where the structural
 //! gap is smallest), if the end-to-end word query is not faster than the
 //! scalar query it replaced, or if a warm-plan query is not at least 2x
-//! faster than the issuing path it memoizes.
+//! faster than the issuing path it memoizes. Before the timed groups, a
+//! deterministic count checks that warm-plan queries replay every lane:
+//! plan hits rise by exactly one per lane and query, misses and
+//! fallbacks by 0.
 
 use pluto_core::lut::{catalog, pack_slots, pack_slots_scalar, unpack_slots, unpack_slots_scalar};
 use pluto_core::partition::PartitionedLut;
+use pluto_core::plan::plan_stats;
 use pluto_core::query::{QueryExecutor, QueryPlacement, QueryScratch};
 use pluto_core::store::LutStore;
 use pluto_core::DesignKind;
@@ -138,34 +142,84 @@ fn bench_query(c: &mut Criterion) {
                     .len()
             })
         });
-        let mut e = query_engine();
-        let lut = catalog::binarize(128).unwrap();
-        let mut part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+        let (mut e, mut part) = warm_plan_side();
         let mut scratch = QueryScratch::new();
-        let mut query = |e: &mut Engine, scratch: &mut QueryScratch| {
-            part.query_with(
-                e,
-                design,
-                SubarrayId(0),
-                SubarrayId(1),
-                &inputs,
-                RowId(0),
-                RowId(1),
-                scratch,
-            )
-            .unwrap();
-        };
         // One unmeasured query records the plan; the measured loop then
         // runs the warm steady state (tape replay + data gather only).
-        query(&mut e, &mut scratch);
+        query_warm_plan(&mut e, &mut part, design, &inputs, &mut scratch);
         group.bench_function(&format!("warm_plan/{design}"), |b| {
-            b.iter(|| {
-                query(&mut e, &mut scratch);
-                scratch.outputs().len()
-            })
+            b.iter(|| query_warm_plan(&mut e, &mut part, design, &inputs, &mut scratch))
         });
     }
     group.finish();
+}
+
+/// The `warm_plan` side: the production store, a one-segment
+/// [`PartitionedLut`], on the measurement geometry.
+fn warm_plan_side() -> (Engine, PartitionedLut) {
+    let mut e = query_engine();
+    let lut = catalog::binarize(128).unwrap();
+    let part = PartitionedLut::load(&mut e, lut, BankId(0), SubarrayId(2)).unwrap();
+    (e, part)
+}
+
+fn query_warm_plan(
+    e: &mut Engine,
+    part: &mut PartitionedLut,
+    design: DesignKind,
+    inputs: &[u64],
+    scratch: &mut QueryScratch,
+) -> usize {
+    part.query_with(
+        e,
+        design,
+        SubarrayId(0),
+        SubarrayId(1),
+        inputs,
+        RowId(0),
+        RowId(1),
+        scratch,
+    )
+    .unwrap();
+    scratch.outputs().len()
+}
+
+/// The deterministic count beside the warm-plan timing ratio in
+/// [`guard`]: after one recording query, `N` further queries on the
+/// production store replay every lane, so plan hits rise by exactly `N`
+/// per lane and misses and fallbacks by 0. Unlike the timing ratio, the
+/// count neither trips on host noise nor passes by it. The bench runs on
+/// one thread, so the process-wide counters are exact.
+fn warm_plan_count_guard() {
+    const N: u64 = 16;
+    let inputs: Vec<u64> = (0..256u64).collect();
+    for design in DesignKind::ALL {
+        let (mut e, mut part) = warm_plan_side();
+        let mut scratch = QueryScratch::new();
+        query_warm_plan(&mut e, &mut part, design, &inputs, &mut scratch);
+        let before = plan_stats();
+        for _ in 0..N {
+            query_warm_plan(&mut e, &mut part, design, &inputs, &mut scratch);
+        }
+        let after = plan_stats();
+        let lanes = part.segment_count() as u64;
+        let (hits, misses, fallbacks) = (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.fallbacks - before.fallbacks,
+        );
+        assert_eq!(
+            (hits, misses, fallbacks),
+            (N * lanes, 0, 0),
+            "{N} warm-plan queries on {design} over {lanes} lane(s): \
+             (hits, misses, fallbacks) must be ({}, 0, 0)",
+            N * lanes
+        );
+        println!(
+            "guard: {design} {N} warm-plan queries replayed {hits} lane tapes \
+             (exactly {N} per lane), 0 misses, 0 fallbacks"
+        );
+    }
 }
 
 /// `LutStore::load` in the pooled-cluster steady state (`load_cached`:
@@ -259,6 +313,7 @@ fn guard(c: &Criterion) {
 
 fn main() {
     let mut c = Criterion::named("query");
+    warm_plan_count_guard();
     bench_pack(&mut c);
     bench_unpack(&mut c);
     bench_query(&mut c);

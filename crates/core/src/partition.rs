@@ -363,7 +363,10 @@ impl PartitionedLut {
     /// Each lane consults the compiled-plan cache (`crate::plan`): a
     /// warm lane applies its memoized cost tape and skips issuance; the
     /// functional effects the tape stands in for — the destination-row
-    /// commit and GSA destruction — are applied directly.
+    /// commit and GSA destruction — are applied directly. A segment store
+    /// keeps the key and tape its last lane used, so a lane whose key
+    /// matches skips the shared cache; its hit, like every fallback, is
+    /// counted in one locked update per query.
     fn issue_lanes(
         &mut self,
         engine: &mut Engine,
@@ -378,6 +381,7 @@ impl PartitionedLut {
         let mut slowest = clock0;
         let plans_ok = self.use_plans && !engine.trace_enabled();
         let mut any_replayed = false;
+        let mut tally = plan::LaneTally::default();
         for store in self.segments.iter_mut() {
             engine.rewind_clock(clock0);
             // A stale BSA/GMC segment needs the *functional* reload only
@@ -392,31 +396,42 @@ impl PartitionedLut {
                     store.subarray().0.abs_diff(dest.0),
                     dest == src_loc.subarray,
                 );
-                match plan::lookup(&key) {
-                    Some(tape) if tape.replayable_from(engine) => {
-                        engine.apply_replayed(&tape);
-                        // The sweep the tape stands in for destroyed the
-                        // segment (zero-cost functional effect).
-                        if design.destructive_reads() {
-                            store.mark_destroyed(engine)?;
-                        }
-                        any_replayed = true;
-                        slowest = slowest.max(engine.elapsed());
-                        continue;
+                if matches!(&store.tape, Some((held, _)) if *held == key) {
+                    tally.hits += 1;
+                } else {
+                    // The shared lookup counts its own hit or miss.
+                    store.tape = plan::lookup(&key).map(|tape| (key, tape));
+                }
+                let replayed = match &store.tape {
+                    Some((_, tape)) if tape.replayable_from(engine) => {
+                        engine.apply_replayed(tape);
+                        true
                     }
                     Some(_) => {
                         // Captured from a different tFAW phase (e.g. a
                         // hop-distance key collision between two lane
                         // positions) — issue in full.
-                        plan::note_fallback();
+                        tally.fallbacks += 1;
+                        false
                     }
                     None => {
                         engine.begin_tape();
                         record = Some(key);
+                        false
                     }
+                };
+                if replayed {
+                    // The sweep the tape stands in for destroyed the
+                    // segment (zero-cost functional effect).
+                    if design.destructive_reads() {
+                        store.mark_destroyed(engine)?;
+                    }
+                    any_replayed = true;
+                    slowest = slowest.max(engine.elapsed());
+                    continue;
                 }
             } else if self.use_plans {
-                plan::note_fallback();
+                tally.fallbacks += 1;
             }
             if let Err(e) = issue_lane(engine, design, store, dest, src_loc, dst_row, out_row) {
                 engine.abort_tape();
@@ -424,7 +439,7 @@ impl PartitionedLut {
             }
             if let Some(key) = record {
                 if let Some(tape) = engine.end_tape() {
-                    plan::insert(key, tape);
+                    store.tape = Some((key, plan::insert(key, tape)));
                 }
             }
             slowest = slowest.max(engine.elapsed());

@@ -39,7 +39,10 @@
 //! cap. Unlike packed rows, tapes need no identity witness — the cost of a
 //! sweep is independent of the element *values*, the LUT's name and its
 //! bit widths, so two segments of one length sharing a key is correct,
-//! not a collision.
+//! not a collision. In front of the map, each segment store keeps the key
+//! and tape its last lane used, so a repeat lane under the same key skips
+//! the map and its lock; such hits and every fallback reach the counters
+//! through one `LaneTally` per query.
 
 use crate::design::DesignKind;
 use crate::store::LutStore;
@@ -50,7 +53,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// Counters of the process-wide plan cache (see [`plan_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Segment lanes whose cost was applied from a memoized tape.
+    /// Lane lookups that found a tape, in the segment store's own tape
+    /// handle or in the shared map (a found tape that is not replayable
+    /// from the lane's start state also counts a fallback).
     pub hits: u64,
     /// Lanes that recorded a new tape while issuing.
     pub misses: u64,
@@ -180,20 +185,37 @@ pub(crate) fn lookup(key: &PlanKey) -> Option<Arc<CostTape>> {
 }
 
 /// Stores a freshly recorded tape, first clearing the cache (and
-/// counting every dropped tape as an eviction) if it is full.
-pub(crate) fn insert(key: PlanKey, tape: CostTape) {
+/// counting every dropped tape as an eviction) if it is full. Returns the
+/// shared handle, for the recording store to keep.
+pub(crate) fn insert(key: PlanKey, tape: CostTape) -> Arc<CostTape> {
+    let tape = Arc::new(tape);
     let mut cache = plan_cache();
     if cache.entries.len() >= PLAN_CACHE_CAP {
         cache.evictions += cache.entries.len() as u64;
         cache.entries.clear();
     }
-    cache.entries.insert(key, Arc::new(tape));
+    cache.entries.insert(key, Arc::clone(&tape));
+    tape
 }
 
-/// Counts a lane that ran the issuing path because a legality gate
-/// failed.
-pub(crate) fn note_fallback() {
-    plan_cache().fallbacks += 1;
+/// Hits served by segment stores' own tape handles and lanes that fell
+/// back to issuing, counted locally during one query's lane loop and
+/// added to the shared counters under one lock when the tally drops —
+/// on every return path, an early error included.
+#[derive(Debug, Default)]
+pub(crate) struct LaneTally {
+    pub(crate) hits: u64,
+    pub(crate) fallbacks: u64,
+}
+
+impl Drop for LaneTally {
+    fn drop(&mut self) {
+        if self.hits + self.fallbacks > 0 {
+            let mut cache = plan_cache();
+            cache.hits += self.hits;
+            cache.fallbacks += self.fallbacks;
+        }
+    }
 }
 
 /// Hit/miss/fallback/eviction counters and occupancy of the plan cache

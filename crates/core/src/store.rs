@@ -10,7 +10,8 @@
 
 use crate::error::PlutoError;
 use crate::lut::{pack_slots_into, slots_per_row, Lut};
-use pluto_dram::{BankId, Engine, RowId, RowLoc, RowTable, SubarrayId};
+use crate::plan::PlanKey;
+use pluto_dram::{BankId, CostTape, Engine, RowId, RowLoc, RowTable, SubarrayId};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -257,6 +258,11 @@ pub struct LutStore {
     /// First master-copy row (element `i` lives at `master_row_base + i`).
     master_row_base: u16,
     loaded: bool,
+    /// The plan key and cost tape of the last lane that looked one up or
+    /// recorded one for this store (`PartitionedLut`'s lane loop). A later
+    /// lane with the same key replays it without the shared plan cache's
+    /// lock; a lane with any other key goes to the shared cache.
+    pub(crate) tape: Option<(PlanKey, Arc<CostTape>)>,
 }
 
 impl LutStore {
@@ -323,6 +329,7 @@ impl LutStore {
             master,
             master_row_base,
             loaded: true,
+            tape: None,
         })
     }
 

@@ -1058,10 +1058,14 @@ impl Engine {
     }
 
     /// Applies a recorded cost tape as if its command stream had been
-    /// issued from the current clock: clock and energy advance through the
-    /// identical sequence of additions the issuing path performs (so the
-    /// end state is bit-identical), command counters merge, and the tFAW
-    /// window is reconstructed from the tape's activation tail.
+    /// issued from the current clock: clock and energy land exactly where
+    /// the issuing path's sequence of additions leaves them (so the end
+    /// state is bit-identical), command counters merge, and the tFAW
+    /// window is reconstructed from the tape's activation tail. The work
+    /// is O(tape ops), not O(commands): each run of `repeat` equal spends
+    /// advances the `u64` clock by one multiplication and the energy
+    /// accumulator through `add_repeated`, which reproduces `repeat`
+    /// sequential `f64` additions bit for bit.
     ///
     /// Legality is the caller's contract:
     /// [`CostTape::replayable_from`] must hold (checked by
@@ -1076,10 +1080,12 @@ impl Engine {
         self.recorder = None;
         let entry = self.clock;
         for op in &tape.ops {
-            for _ in 0..op.repeat {
-                self.clock += op.delta;
-                self.command_energy += op.energy;
-            }
+            self.clock += op.delta.times(op.repeat);
+            self.command_energy = PicoJoules(add_repeated(
+                self.command_energy.as_pj(),
+                op.energy.as_pj(),
+                op.repeat,
+            ));
         }
         self.stats.merge(&tape.stats);
         // Reconstruct the window the issuing path would leave: its last
@@ -1109,11 +1115,92 @@ impl Engine {
     }
 }
 
+/// `acc` after `n` sequential `acc += e` under round-to-nearest-even, bit
+/// for bit, in a few iterations rather than `n`.
+///
+/// Within one binade `[2^k, 2^(k+1))` every double is a multiple of the
+/// binade's ulp `u = 2^(k−52)`. For `0 < e < acc` whose exact sum stays
+/// below `2^(k+1)`, `fl(acc + e) = acc + r·u`, where `r` is `e/u` rounded
+/// to the nearest integer — the same `r` on every such step, unless `e/u`
+/// is an exact half-integer, whose tie rounds to even and so depends on
+/// `acc`. One iteration therefore applies every step that stays in the
+/// binade as one integer addition on `acc`'s significand. Where that rule
+/// does not hold — `acc` zero, subnormal, negative or not finite,
+/// `e ≥ acc`, a tie, or a step that would leave the binade — it takes one
+/// plain `+=` step. A run of whole-picojoule energies cannot tell this
+/// from `acc + e·n` (below `2^53` such sums are exact in any order); only
+/// fractional increments can.
+fn add_repeated(mut acc: f64, e: f64, mut n: u64) -> f64 {
+    if e == 0.0 {
+        // The first step can only settle the sign of a zero `acc`.
+        return if n == 0 { acc } else { acc + e };
+    }
+    while n > 0 {
+        match binade_run(acc, e, n) {
+            Some((steps, sum)) => {
+                acc = sum;
+                n -= steps;
+            }
+            None => {
+                acc += e;
+                n -= 1;
+            }
+        }
+    }
+    acc
+}
+
+/// The longest run, of at most `n` steps of `acc += e`, that stays in
+/// `acc`'s binade: its step count and result, or `None` where
+/// [`add_repeated`] must take a plain step.
+fn binade_run(acc: f64, e: f64, n: u64) -> Option<(u64, f64)> {
+    const FRAC: u64 = (1 << 52) - 1;
+    const TOP: u64 = 1 << 53;
+    if !(acc.is_normal() && acc > 0.0 && e > 0.0 && e < acc) {
+        return None;
+    }
+    // Each value as significand × 2^(biased exponent − 1075), with a
+    // subnormal `e` at exponent 1; `acc`'s ulp is 2^(its exponent − 1075),
+    // and `e < acc` puts `e`'s exponent at or below it.
+    let bits = acc.to_bits();
+    let sig = (bits & FRAC) | (1 << 52);
+    let (e_exp, e_sig) = match e.to_bits() >> 52 {
+        0 => (1, e.to_bits()),
+        exp => (exp, (e.to_bits() & FRAC) | (1 << 52)),
+    };
+    // e/u = e_sig / 2^shift, rounded to the nearest integer `r`.
+    let shift = (bits >> 52) - e_exp;
+    let r = match shift {
+        0 => e_sig,
+        // e_sig < 2^53 ≤ 2^(shift−1): e/u < 1/2, so every step rounds
+        // back to `acc`.
+        54.. => 0,
+        _ => {
+            let (rem, half) = (e_sig & ((1 << shift) - 1), 1 << (shift - 1));
+            if rem == half {
+                return None;
+            }
+            (e_sig >> shift) + u64::from(rem > half)
+        }
+    };
+    if r == 0 {
+        return Some((n, acc));
+    }
+    // |e/u − r| < 1/2, so every step up to the last keeps the exact sum
+    // below 2^53·u while sig + steps·r ≤ 2^53 − 1. Within the binade the
+    // encoding is the significand plus a fixed exponent field, so the
+    // result is one integer addition on the bits.
+    let steps = n.min((TOP - 1 - sig) / r);
+    (steps > 0).then(|| (steps, f64::from_bits(bits + steps * r)))
+}
+
 /// One run-length-compressed cost step on a [`CostTape`]: `repeat`
 /// consecutive spends, each advancing the clock by `delta` and the energy
 /// accumulator by `energy`. `delta` folds in any tFAW forward jump the
 /// issuing path took before the spend (the two u64 additions associate, so
-/// replay lands on exactly the clock the issuing path reached).
+/// replay lands on exactly the clock the issuing path reached). Replay
+/// applies the whole run at once: `delta.times(repeat)` on the clock and
+/// [`add_repeated`] on the energy.
 #[derive(Debug, Clone, Copy)]
 struct TapeOp {
     delta: Picos,
@@ -1760,5 +1847,104 @@ mod tests {
         e.begin_tape();
         e.abort_tape();
         assert!(e.end_tape().is_none(), "abort drops capture");
+    }
+
+    /// The plain loop [`add_repeated`] stands in for.
+    fn add_loop(mut acc: f64, e: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            acc += e;
+        }
+        acc
+    }
+
+    #[test]
+    fn add_repeated_matches_the_plain_loop_bit_for_bit() {
+        use sim_support::prop;
+        use sim_support::prop_assert_eq;
+        const FRAC: u64 = (1 << 52) - 1;
+        prop::check("add_repeated_vs_loop", 3000, |g| {
+            let acc = match g.range(0u32..6) {
+                0 => 0.0,
+                // Subnormal.
+                1 => f64::from_bits(g.range(1..=FRAC)),
+                // Normal with a biased exponent ≤ 52: the ulp is subnormal.
+                2 => f64::from_bits(g.range(1u64..=52) << 52 | (g.any::<u64>() & FRAC)),
+                // Just below a power of two.
+                3 => {
+                    let power = 2f64.powi(g.range(-30i32..50));
+                    f64::from_bits(power.to_bits() - g.range(1u64..=4096))
+                }
+                _ => g.range(0.0..1e15),
+            };
+            // The accumulator's ulp (a normal `acc` only; otherwise unused).
+            let ulp = f64::from_bits(acc.to_bits() + 1) - acc;
+            let e = match g.range(0u32..7) {
+                0 => 0.0,
+                1 => f64::from(g.range(1u32..100_000)) / 3.0,
+                2 => f64::from(g.range(1u32..100_000)) / 7.0,
+                3 => 0.1 * f64::from(g.range(1u32..100_000)),
+                // An exact half-ulp tie at the accumulator's binade.
+                4 if acc.is_normal() => ulp / 2.0 * f64::from(2 * g.range(0u32..1 << 20) + 1),
+                // At least the accumulator.
+                5 => acc * g.range(1.0..4.0),
+                _ => acc * g.range(0.0..1.0),
+            };
+            let n = if g.range(0u32..40) == 0 {
+                g.range(1u64 << 20..=1 << 21)
+            } else {
+                g.range(0u64..=4096)
+            };
+            prop_assert_eq!(
+                add_repeated(acc, e, n).to_bits(),
+                add_loop(acc, e, n).to_bits(),
+                "acc {acc:e} ({:#x}) e {e:e} n {n}",
+                acc.to_bits()
+            );
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn fractional_tape_replays_across_a_power_of_two_bit_for_bit() {
+        // Fractional energies: f64 sums of these round, so a replay that
+        // added `energy × repeat` at once, or skipped a step that changes
+        // binade, lands on different bits than the issuing path.
+        let energy = EnergyModel {
+            e_act: PicoJoules::from_pj(29_837.409),
+            e_pre: PicoJoules::from_pj(2_340.321),
+            e_rd_burst: PicoJoules::from_pj(4_000.7),
+            e_wr_burst: PicoJoules::from_pj(4_200.9),
+            e_lisa_hop: PicoJoules::from_pj(24_125.839),
+            e_charge_share: PicoJoules::from_pj(18_000.3),
+            background_watts: 0.35,
+        };
+        let fresh = || {
+            let b = binding();
+            Engine::with_models(b.config().clone(), b.timing().clone(), energy.clone())
+        };
+        let mut rec = fresh();
+        rec.begin_tape();
+        issue_query_shape(&mut rec);
+        let tape = rec.end_tape().expect("capture survived");
+        // The six-row reload run crosses 2^20 at its third step; the
+        // others sit one ulp or half a picojoule below a power of two.
+        for start in [
+            2f64.powi(20) - 60_000.123,
+            f64::from_bits(2f64.powi(20).to_bits() - 1),
+            2f64.powi(30) - 0.5,
+        ] {
+            let mut issued = fresh();
+            issued.command_energy = PicoJoules(start);
+            let mut replayed = issued.clone();
+            issue_query_shape(&mut issued);
+            replayed.apply_replayed(&tape);
+            assert_eq!(
+                replayed.command_energy().as_pj().to_bits(),
+                issued.command_energy().as_pj().to_bits(),
+                "energy from {start}"
+            );
+            assert_eq!(replayed.elapsed(), issued.elapsed(), "clock from {start}");
+            assert_eq!(replayed.stats(), issued.stats(), "counters from {start}");
+        }
     }
 }

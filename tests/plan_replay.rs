@@ -10,14 +10,18 @@
 //! case), with a `set_use_plans(false)` twin as the issuing oracle.
 //! Non-replayable contexts (command tracing, a tFAW-window signature
 //! mismatch) must fall back to full issuance, not replay a wrong tape.
+//! With fractional energies, one store queried under changing plan keys
+//! must also stay bit-identical while its energy accumulator crosses
+//! binades mid-run (a segment store's tape handle serves only its own key,
+//! and replay sums a run of equal spends exactly as the issuing path does).
 
 use pluto_repro::core::lut::{slots_per_row, width_mask, Lut};
 use pluto_repro::core::partition::PartitionedLut;
 use pluto_repro::core::plan;
 use pluto_repro::core::DesignKind;
 use pluto_repro::dram::{
-    BankId, DramConfig, EnergyModel, Engine, MemoryKind, Picos, RowId, RowLoc, SubarrayId,
-    SweepStepKind, TimingParams,
+    BankId, DramConfig, EnergyModel, Engine, MemoryKind, PicoJoules, Picos, RowId, RowLoc,
+    SubarrayId, SweepStepKind, TimingParams,
 };
 use sim_support::prop::{self, Gen};
 use sim_support::prop_assert_eq;
@@ -284,6 +288,92 @@ fn partitioned_lanes_replay_warm_including_128_segments() {
         after.hits - before.hits >= 128,
         "partitioned lanes never replayed: {before:?} -> {after:?}"
     );
+}
+
+/// One 8-segment store on an engine with fractional energies, queried
+/// 72 times with the design and `dest == source` changing from query to
+/// query, against a plans-off twin. Every change of key sends each lane's
+/// lookup past its store's tape handle to the shared cache, and the
+/// accumulator (no longer exact in any summation order) climbs through
+/// several binades, crossing each inside some lane's run of equal spends.
+#[test]
+fn a_changing_key_on_one_store_replays_fractional_energy_bit_for_bit() {
+    let cfg = DramConfig {
+        row_bytes: 32,
+        burst_bytes: 8,
+        banks: 1,
+        subarrays_per_bank: 20,
+        rows_per_subarray: 64,
+        ..DramConfig::ddr4_2400()
+    };
+    // Fractional picojoules (as in `tests/plan_key.rs`): f64 sums of
+    // these round, so a replay that added a run's energy at once, or a
+    // tape replayed under the wrong key, lands on different bits.
+    let energy = EnergyModel {
+        e_act: PicoJoules::from_pj(29_837.409),
+        e_pre: PicoJoules::from_pj(2_340.321),
+        e_rd_burst: PicoJoules::from_pj(4_000.7),
+        e_wr_burst: PicoJoules::from_pj(4_200.9),
+        e_lisa_hop: PicoJoules::from_pj(24_125.839),
+        e_charge_share: PicoJoules::from_pj(18_000.3),
+        background_watts: 0.35,
+    };
+    let fresh = || Engine::with_models(cfg.clone(), TimingParams::ddr4_2400(), energy.clone());
+    let lut = Lut::from_fn("plan-fractional-512", 9, 8, |x| (x * 13 + 5) & 0xff).unwrap();
+    let mut e_plan = fresh();
+    let mut p_plan =
+        PartitionedLut::load(&mut e_plan, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+    let mut e_oracle = fresh();
+    let mut p_oracle =
+        PartitionedLut::load(&mut e_oracle, lut.clone(), BankId(0), SubarrayId(2)).unwrap();
+    p_oracle.set_use_plans(false);
+    assert_eq!(p_plan.segment_count(), 8);
+
+    let before = plan::plan_stats();
+    let inputs: Vec<u64> = (0..24).map(|i| (i * 89) % 512).collect();
+    let mut binades = std::collections::BTreeSet::new();
+    for q in 0..72 {
+        let design = DesignKind::ALL[q % 3];
+        // Cycle dest == source with a period coprime to the designs'.
+        let dest = if q % 4 < 2 { DST } else { SRC };
+        let label = format!("query {q} {design} dest {dest:?}");
+        let (out_p, cost_p) = p_plan
+            .query(&mut e_plan, design, SRC, dest, &inputs, RowId(0), RowId(3))
+            .unwrap();
+        let (out_o, cost_o) = p_oracle
+            .query(
+                &mut e_oracle,
+                design,
+                SRC,
+                dest,
+                &inputs,
+                RowId(0),
+                RowId(3),
+            )
+            .unwrap();
+        assert_eq!(out_p, out_o, "outputs {label}");
+        assert_eq!(out_p, lut.apply_all(&inputs).unwrap(), "semantics {label}");
+        assert_eq!(cost_p, cost_o, "cost {label}");
+        assert_eq!(e_plan.elapsed(), e_oracle.elapsed(), "clock {label}");
+        assert_eq!(e_plan.stats(), e_oracle.stats(), "stats {label}");
+        let bits = e_plan.command_energy().as_pj().to_bits();
+        assert_eq!(
+            bits,
+            e_oracle.command_energy().as_pj().to_bits(),
+            "energy {label}"
+        );
+        binades.insert(bits >> 52);
+    }
+    assert!(
+        binades.len() >= 4,
+        "the accumulator crossed only {} binades",
+        binades.len()
+    );
+    // Counters are process-wide and other tests query concurrently, so
+    // only lower-bound them: the store both recorded and replayed.
+    let after = plan::plan_stats();
+    assert!(after.misses > before.misses, "no lane recorded a tape");
+    assert!(after.hits > before.hits, "no lane replayed a tape");
 }
 
 /// Seam regression for `Engine::rewind_clock`'s boundary rule: an ACT
